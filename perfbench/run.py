@@ -9,19 +9,22 @@ Workloads (see BENCHMARK.json for why each was chosen):
                 each graph through format_graph6
   compute-mix   a seeded corpus of `csfkit compute` requests (see corpus.py)
 
-Untraced (`--trace 0`): the workload runs in passes over the same items
-until S seconds have been measured, and at least three passes.  An item's
-latency is the least of its times over the passes (best of k).  On a shared
-two-core Xeon VM, the best time of a fixed job in half-second windows moved
-by up to 2x as other tenants came and went; a median over passes follows
-that noise, a per-item best mostly does not.  Whole runs still land in slow
-stretches, and the run-to-run spread of the time metrics was 10-20 %.
-  wall_s          sum of the item latencies plus the least time outside
-                  items: the time to finish the workload once
+Untraced (`--trace 0`): the workload runs in passes over the same items,
+at least two, and no further pass starts that would, at the mean pass time
+so far, end after S seconds of passes.  On a shared two-core Xeon VM the
+time of a fixed job moved by up to 25 % from one second to the next, and by
+up to 40 % from one ten minutes to the next, as other tenants came and
+went.  The least of the passes follows the short noise less than their
+mean; a run that falls in a slow stretch still reads slow.
+  wall_s          the least wall time of a whole pass: the time to finish
+                  the workload once
   items_per_s     trees verified, graphs emitted or requests answered,
                   per second of wall_s
-  latency_p50_ms, latency_p95_ms   percentiles of the item latencies
-                  (see workloads.py for what an item is)
+  latency_p50_ms, latency_p95_ms   percentiles of the item latencies, each
+                  item's least time over the passes (see workloads.py for
+                  what an item is).  Only compute-mix serves requests; the
+                  other two report them too, since every workload reports
+                  every end-to-end metric
   setup_s         median time for a fresh interpreter to import csfkit and
                   do one warm-up item, sampled three times after each pass
   peak_rss_mb     peak resident set of this process
@@ -52,7 +55,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = Path(".perfbench")
-MIN_PASSES = 3
+MIN_PASSES = 2
 SETUP_PER_PASS = 3
 
 
@@ -69,12 +72,6 @@ def _setup_sample(warmup):
     return perf_counter() - t0
 
 
-def _percentile(values, q):
-    if len(values) < 2:
-        return values[0] if values else 0.0
-    return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
-
-
 def _one_pass(workload, state, tracer=None):
     """(wall, item latencies, failures) of one pass; a crash is a failure."""
     t0 = perf_counter()
@@ -85,14 +82,10 @@ def _one_pass(workload, state, tracer=None):
     return wall, lat, workload.check(state, outputs)
 
 
-def compose_passes(passes):
-    """Per-item best times over the complete passes, and their sum plus the
-    best time outside items: the time to finish the workload once."""
+def item_best(passes):
+    """Each item's least latency over the passes that timed every item."""
     n = max(len(lat) for _, lat in passes)
-    full = [(wall, lat) for wall, lat in passes if len(lat) == n]
-    items = [min(col) for col in zip(*(lat for _, lat in full))]
-    outside = min(wall - sum(lat) for wall, lat in full)
-    return sum(items) + outside, items
+    return [min(col) for col in zip(*(lat for _, lat in passes if len(lat) == n))]
 
 
 def run_metadata():
@@ -159,7 +152,7 @@ def main(argv=None):
         wall, _, fails = _one_pass(workload, state)
         failures += fails
         tracer = tracing.Tracer()
-        saved = tracing.install(tracer, tree_items=workload.name == "verify-trees")
+        saved = tracing.install(tracer)
         try:
             traced_wall, _, fails = _one_pass(workload, state, tracer)
         finally:
@@ -178,7 +171,7 @@ def main(argv=None):
     else:
         passes, setup = [], []
         spent = 0.0
-        while spent < args.seconds or len(passes) < MIN_PASSES:
+        while len(passes) < MIN_PASSES or spent * (1 + 1 / len(passes)) <= args.seconds:
             wall, lat, fails = _one_pass(workload, state)
             failures += fails
             passes.append((wall, lat))
@@ -187,12 +180,13 @@ def main(argv=None):
             # machine noise cannot cover them all
             setup += [_setup_sample(workload.warmup) for _ in range(SETUP_PER_PASS)]
         n_passes = len(passes)
-        wall, items = compose_passes(passes)
+        wall = min(w for w, _ in passes)
+        items = item_best(passes)
         metrics = {
             "wall_s": (wall, "s"),
             "items_per_s": (workload.attempted(state) / wall, "1/s"),
-            "latency_p50_ms": (_percentile(items, 50) * 1e3, "ms"),
-            "latency_p95_ms": (_percentile(items, 95) * 1e3, "ms"),
+            "latency_p50_ms": (tracing.percentile(items, 50) * 1e3, "ms"),
+            "latency_p95_ms": (tracing.percentile(items, 95) * 1e3, "ms"),
             "setup_s": (statistics.median(setup), "s"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
         }

@@ -221,7 +221,7 @@ def test_compute_gate_trips_on_exception_and_garbage():
 def test_tracing_restores_every_wrapped_name():
     before = {(id(o), a): getattr(o, a) for o, a, *_ in tracing._CALLS + tracing._GENERATORS}
     tracer = tracing.Tracer()
-    saved = tracing.install(tracer, tree_items=True)
+    saved = tracing.install(tracer)
     tracing.uninstall(saved)
     after = {(id(o), a): getattr(o, a) for o, a, *_ in tracing._CALLS + tracing._GENERATORS}
     assert before == after
@@ -229,7 +229,7 @@ def test_tracing_restores_every_wrapped_name():
 
 def test_traced_verify_yields_layer_metrics():
     tracer = tracing.Tracer()
-    saved = tracing.install(tracer, tree_items=True)
+    saved = tracing.install(tracer)
     try:
         reports = verify.verify_distinct(7)
         list(enumeration.enumerate_unicyclic(5))

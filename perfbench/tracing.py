@@ -109,11 +109,11 @@ _GENERATORS = [
 ]
 
 
-def install(tracer, tree_items=False):
+def install(tracer):
     """Wrap every traced name; returns the originals for `uninstall`.
 
-    With `tree_items`, the tree generator that `verify` consumes sets the
-    current item to `(order, index)` of each tree it hands over.
+    The tree generator that `verify` consumes sets the current item to
+    `(order, index)` of each tree it hands over.
     """
     saved = []
     for owner, attr, name, note in _CALLS:
@@ -123,8 +123,7 @@ def install(tracer, tree_items=False):
     for owner, attr, name in _GENERATORS:
         orig = getattr(owner, attr)
         saved.append((owner, attr, orig))
-        set_item = tree_items and owner is verify
-        setattr(owner, attr, _wrap_gen(tracer, name, orig, set_item))
+        setattr(owner, attr, _wrap_gen(tracer, name, orig, owner is verify))
     return saved
 
 
@@ -137,7 +136,7 @@ def _us(seconds):
     return seconds * 1e6
 
 
-def _pct(values, q):
+def percentile(values, q):
     """The q-th percentile (0 < q < 100) by statistics.quantiles; 0.0 when empty."""
     if not values:
         return 0.0
@@ -215,14 +214,14 @@ def summarize(spans):
         "graphs.tree_init_calls": (len(by_name.get("graphs.tree_init", [])), "count"),
         "graphs.tree_init_us": (med_us("graphs.tree_init"), "us"),
         "csf.tree_dp_calls": (len(tree_dp), "count"),
-        "csf.tree_dp_us_p50": (_us(_pct(tree_dp, 50)), "us"),
-        "csf.tree_dp_us_p95": (_us(_pct(tree_dp, 95)), "us"),
+        "csf.tree_dp_us_p50": (_us(percentile(tree_dp, 50)), "us"),
+        "csf.tree_dp_us_p95": (_us(percentile(tree_dp, 95)), "us"),
         "csf.tree_dp_busy_s": (sum(tree_dp, 0.0), "s"),
         "csf.tree_dp_terms": (sum(spans[i][NOTE] for i in by_name.get("csf.tree_dp", [])),
                               "count"),
         "csf.subset_calls": (len(subset), "count"),
-        "csf.subset_us_p50": (_us(_pct(subset, 50)), "us"),
-        "csf.subset_us_p95": (_us(_pct(subset, 95)), "us"),
+        "csf.subset_us_p50": (_us(percentile(subset, 50)), "us"),
+        "csf.subset_us_p95": (_us(percentile(subset, 95)), "us"),
         "csf.subset_busy_s": (sum(subset, 0.0), "s"),
         "psym.serialize_us": (med_us("psym.serialize"), "us"),
         "psym.serialize_busy_s": (busy("psym.serialize"), "s"),
