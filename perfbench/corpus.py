@@ -2,30 +2,38 @@
 
 Every request is the text `csfkit compute` would read (graph6 or an edge
 list) plus the `--what` it asks for.  The corpus is stratified: each
-(kind, size) stratum gets a fixed number of requests and only the graphs
-inside a stratum come from the seed.  That keeps the share of heavy
-requests, and with it the latency percentiles, the same from seed to seed.
+(kind, size) stratum gets a fixed number of requests.  The graphs' shapes
+are drawn once, from SHAPE_SEED; the run's seed relabels their vertices,
+orders their edges, picks graph6 or edge-list text for trees, and orders
+the requests.  Every seed thus asks for the same work in different text.
+When the seed drew the shapes as well, a run's figures followed the trees it
+happened to draw: the median latency moved by 18 % from seed to seed, with
+the machine's noise taken out, as the cost of a transform or invariants
+request varies several-fold with the shape of its tree.
 
 Kinds, with PER_STRATUM requests at each size:
-  csf-tree        `what=csf` on a uniform random labelled tree, n = 8..18.
-  transform       `what=transform` on a random tree, n = 12, 14, .., 20.
-  invariants      `what=invariants` on a random tree, n = 12, 14, .., 20.
+  csf-tree        `what=csf` on a uniform random labelled tree, n = 8..15.
+  transform       `what=transform` on a random tree, n = 12, 14, 16, 18.
+  invariants      `what=invariants` on a random tree, n = 12, 14, 16, 18.
   csf-multigraph  `what=csf` on a connected multigraph that has parallel
                   edges, and a loop in one request of three, m = 8..18.
 
-The subset expansion costs the same on every tree of one order, and doubles
-per vertex, so the heaviest requests are csf-tree at n = 17 and 18: 2 of the
-32 strata, 6.25 % of the corpus.  The 95th latency percentile therefore lies
-inside the n = 17 stratum, whatever the seed, and has 10 requests beyond it.
+The heaviest requests are csf-tree at n = 15 and transform and invariants at
+n = 18: 3 of the 27 strata, 11 % of the corpus, so the 95th latency
+percentile lies among them, with 11 requests beyond it.  A pass takes about
+2 s on a shared two-core Xeon VM.  With trees up to n = 18 for csf and
+n = 20 for transform and invariants a pass took 5 to 7 s, too few passes in
+a run for each request's best time to settle (see run.py).
 """
 
 import heapq
 import random
 from dataclasses import dataclass
 
-PER_STRATUM = 6
-CSF_TREE_N = range(8, 19)
-TREE_QUERY_N = range(12, 21, 2)
+SHAPE_SEED = 2308
+PER_STRATUM = 8
+CSF_TREE_N = range(8, 16)
+TREE_QUERY_N = range(12, 19, 2)
 MULTIGRAPH_M = range(8, 19)
 
 
@@ -90,24 +98,34 @@ def graph6_text(n, edges):
     return chr(63 + n) + body + "\n"
 
 
-def _tree_request(rng, kind, what, n):
-    edges = random_tree_edges(rng, n)
-    fmt = graph6_text if rng.random() < 0.5 else edge_list_text
-    return Request(kind, what, n, n - 1, fmt(n, edges))
+def _shapes():
+    """(kind, what, n, edges) of every request, drawn from SHAPE_SEED."""
+    rng = random.Random(SHAPE_SEED)
+    shapes = []
+    for _ in range(PER_STRATUM):
+        for kind, what, sizes in (("csf-tree", "csf", CSF_TREE_N),
+                                  ("transform", "transform", TREE_QUERY_N),
+                                  ("invariants", "invariants", TREE_QUERY_N)):
+            shapes += [(kind, what, n, random_tree_edges(rng, n)) for n in sizes]
+    for k in range(PER_STRATUM):
+        for m in MULTIGRAPH_M:
+            n, edges = random_multigraph_edges(rng, m, loop=(k % 3 == 0))
+            shapes.append(("csf-multigraph", "csf", n, edges))
+    return shapes
 
 
 def make_corpus(seed):
     """The request list for a seed; the same seed gives the same requests."""
     rng = random.Random(seed)
     reqs = []
-    for _ in range(PER_STRATUM):
-        reqs += [_tree_request(rng, "csf-tree", "csf", n) for n in CSF_TREE_N]
-        reqs += [_tree_request(rng, "transform", "transform", n) for n in TREE_QUERY_N]
-        reqs += [_tree_request(rng, "invariants", "invariants", n) for n in TREE_QUERY_N]
-    for k in range(PER_STRATUM):
-        for m in MULTIGRAPH_M:
-            n, edges = random_multigraph_edges(rng, m, loop=(k % 3 == 0))
-            reqs.append(Request("csf-multigraph", "csf", n, m, edge_list_text(n, edges)))
+    for kind, what, n, edges in _shapes():
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in edges]
+        rng.shuffle(edges)
+        tree = kind != "csf-multigraph"
+        fmt = graph6_text if tree and rng.random() < 0.5 else edge_list_text
+        reqs.append(Request(kind, what, n, len(edges), fmt(n, edges)))
     rng.shuffle(reqs)
     return reqs
 

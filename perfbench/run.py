@@ -4,20 +4,24 @@ from outside.
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Workloads (see BENCHMARK.json for why each was chosen):
-  verify-trees  verify_distinct(max_n=14, jobs=1)
-  gen-graphs    `csfkit gen`: enumerate_trees(15), then enumerate_unicyclic(9),
+  verify-trees  verify_distinct(max_n=12, jobs=1)
+  gen-graphs    `csfkit gen`: enumerate_trees(13), then enumerate_unicyclic(8),
                 each graph through format_graph6
   compute-mix   a seeded corpus of `csfkit compute` requests (see corpus.py)
 
 Untraced (`--trace 0`): the workload runs in passes over the same items,
-at least two, and no further pass starts that would, at the mean pass time
-so far, end after S seconds of passes.  On a shared two-core Xeon VM the
-time of a fixed job moved by up to 25 % from one second to the next, and by
-up to 40 % from one ten minutes to the next, as other tenants came and
-went.  The least of the passes follows the short noise less than their
-mean; a run that falls in a slow stretch still reads slow.
-  wall_s          the least wall time of a whole pass: the time to finish
-                  the workload once
+at least two, and no further pass starts that would, at the mean time per
+pass so far, end after S seconds.  Each pass starts from a full cyclic
+garbage collection, so that the collector runs at the same items in every
+pass.  On a shared two-core Xeon VM a fixed job ran up to 1.7 times slower
+from one second to the next, as other tenants came and went, and most of
+the time it ran slow; a whole pass, or the median of passes, reads
+whatever share of slow stretches the run happened to get.  The fastest time
+of a short item over a run's passes is found in a quiet moment, so each
+item is timed on its own and the figures are built from its best time.
+  wall_s          the time to finish the workload once: the sum of the item
+                  latencies, which cover a pass without gaps, each item at
+                  its best over the passes
   items_per_s     trees verified, graphs emitted or requests answered,
                   per second of wall_s
   latency_p50_ms, latency_p95_ms   percentiles of the item latencies, each
@@ -26,12 +30,14 @@ mean; a run that falls in a slow stretch still reads slow.
                   other two report them too, since every workload reports
                   every end-to-end metric
   setup_s         median time for a fresh interpreter to import csfkit and
-                  do one warm-up item, sampled three times after each pass
+                  do one warm-up item, sampled once after each of the first
+                  passes and nine times in all
   peak_rss_mb     peak resident set of this process
 
-Traced (`--trace 1`): one untraced pass, then one traced pass.  The per-layer
-metrics come from the spans of the traced pass (see tracing.py); the
-difference of the two pass times is the tracing overhead.
+Traced (`--trace 1`): one untraced pass, then one traced pass, each after a
+full collection.  The per-layer metrics come from the spans of the traced
+pass (see tracing.py); the difference of the two pass times is the tracing
+overhead.
 
 Every output is checked after its pass.  A wrong answer or an exception is a
 failure; the run goes on.  The last stdout line is the JSON result; the lines
@@ -41,6 +47,7 @@ traced run too.
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -56,7 +63,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = Path(".perfbench")
 MIN_PASSES = 2
-SETUP_PER_PASS = 3
+SETUP_SAMPLES = 9
 
 
 def _setup_sample(warmup):
@@ -149,10 +156,12 @@ def main(argv=None):
 
     if args.trace:
         # one untraced pass, then one traced pass of the same items
+        gc.collect()
         wall, _, fails = _one_pass(workload, state)
         failures += fails
         tracer = tracing.Tracer()
         saved = tracing.install(tracer)
+        gc.collect()
         try:
             traced_wall, _, fails = _one_pass(workload, state, tracer)
         finally:
@@ -170,18 +179,22 @@ def main(argv=None):
         result["spans_file"] = str(spans_path)
     else:
         passes, setup = [], []
-        spent = 0.0
-        while len(passes) < MIN_PASSES or spent * (1 + 1 / len(passes)) <= args.seconds:
+        start = perf_counter()
+        while (len(passes) < MIN_PASSES
+               or (perf_counter() - start) * (1 + 1 / len(passes)) <= args.seconds):
+            gc.collect()
             wall, lat, fails = _one_pass(workload, state)
             failures += fails
             passes.append((wall, lat))
-            spent += wall
             # set-up samples spread between passes, so that one burst of
             # machine noise cannot cover them all
-            setup += [_setup_sample(workload.warmup) for _ in range(SETUP_PER_PASS)]
+            if len(setup) < SETUP_SAMPLES:
+                setup.append(_setup_sample(workload.warmup))
+        setup += [_setup_sample(workload.warmup) for _ in range(SETUP_SAMPLES - len(setup))]
         n_passes = len(passes)
-        wall = min(w for w, _ in passes)
         items = item_best(passes)
+        # a pass that raised timed no items; if every pass raised, the least pass wall
+        wall = sum(items) if items else min(w for w, _ in passes)
         metrics = {
             "wall_s": (wall, "s"),
             "items_per_s": (workload.attempted(state) / wall, "1/s"),

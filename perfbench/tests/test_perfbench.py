@@ -7,12 +7,14 @@ import random
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import corpus
 import gates
+import run
 import tracing
 import workloads
 from csfkit import (
@@ -42,11 +44,26 @@ def test_same_seed_gives_byte_identical_corpus():
     assert corpus.corpus_bytes(corpus.make_corpus(7)) != corpus.corpus_bytes(corpus.make_corpus(8))
 
 
+def test_seeds_relabel_the_same_shapes():
+    a, b = corpus.make_corpus(7), corpus.make_corpus(8)
+    assert {r.text for r in a}.isdisjoint(r.text for r in b)
+
+    def shapes(reqs):
+        # a tree by its certificate, a multigraph by its degree sequence
+        out = []
+        for r in reqs:
+            g = load_graph(r.text)
+            degrees = sorted(Counter(v for e in g.edges for v in e).values())
+            out.append((r.kind, r.what, r.n, r.m, gates.tree_certificate(g.n, g.edges), degrees))
+        return sorted(out)
+    assert shapes(a) == shapes(b)
+
+
 def test_corpus_requests_parse_to_their_stated_shape():
     reqs = corpus.make_corpus(3)
     mix = corpus.describe(reqs)
     assert {k: d["requests"] for k, d in mix.items()} == {
-        "csf-multigraph": 66, "csf-tree": 66, "invariants": 30, "transform": 30}
+        "csf-multigraph": 88, "csf-tree": 64, "invariants": 32, "transform": 32}
     for r in reqs:
         g = load_graph(r.text)
         assert (g.n, len(g.edges)) == (r.n, r.m)
@@ -152,11 +169,15 @@ def test_gen_gate_trips_on_wrong_unicyclic_count():
 
 # compute gate
 
+def _tree_request(rng, kind, what, n, fmt):
+    return corpus.Request(kind, what, n, n - 1, fmt(n, corpus.random_tree_edges(rng, n)))
+
+
 def _small_mix():
     rng = random.Random(5)
-    reqs = [corpus._tree_request(rng, "csf-tree", "csf", 6),
-            corpus._tree_request(rng, "transform", "transform", 7),
-            corpus._tree_request(rng, "invariants", "invariants", 8)]
+    reqs = [_tree_request(rng, "csf-tree", "csf", 6, corpus.graph6_text),
+            _tree_request(rng, "transform", "transform", 7, corpus.edge_list_text),
+            _tree_request(rng, "invariants", "invariants", 8, corpus.graph6_text)]
     n, edges = corpus.random_multigraph_edges(rng, 8, loop=False)
     reqs.append(corpus.Request("csf-multigraph", "csf", n, 8, corpus.edge_list_text(n, edges)))
     n, edges = corpus.random_multigraph_edges(rng, 8, loop=True)
@@ -168,8 +189,9 @@ def test_compute_gate_passes_real_responses():
     mix = workloads.ComputeMix()
     reqs = _small_mix()
     state = (reqs, [workloads._expectation(r) for r in reqs])
-    _, lat, texts = mix.run_pass(state)
+    wall, lat, texts = mix.run_pass(state)
     assert len(lat) == len(reqs)
+    assert sum(lat) == pytest.approx(wall)
     assert mix.check(state, texts) == []
 
 
@@ -217,6 +239,22 @@ def test_compute_gate_trips_on_exception_and_garbage():
 
 
 # tracing
+
+# passes
+
+def test_verify_pass_items_cover_the_pass():
+    w = workloads.VerifyTrees(6)
+    wall, lat, reports = w.run_pass(None)
+    # one item per tree, plus the time from the call to the first tree
+    assert len(lat) == w.attempted(None) + 1
+    assert sum(lat) == pytest.approx(wall)
+    assert w.check(None, reports) == []
+
+
+def test_item_best_takes_each_items_least_time_over_whole_passes():
+    passes = [(0.6, [0.1, 0.5]), (0.5, [0.3, 0.2]), (0.0, [])]
+    assert run.item_best(passes) == [0.1, 0.2]
+
 
 def test_tracing_restores_every_wrapped_name():
     before = {(id(o), a): getattr(o, a) for o, a, *_ in tracing._CALLS + tracing._GENERATORS}

@@ -7,16 +7,26 @@ then run in passes over the same items in the same order.  A pass returns its
 wall time, one latency per item, and its raw outputs; `check` turns those
 outputs into gate failures after the pass, outside the timed region.
 
+The item latencies of a pass follow each other without gaps, from the start
+of the pass to its end, so they add up to its wall time.
+
+Sizes: a pass takes one to two seconds on a shared two-core Xeon VM, so
+that a run of 40 s holds some twenty passes, enough for every item's best
+time to be found in a quiet moment of the machine (see run.py).
+`verify_distinct(14)` and `enumerate_trees(15)`, about 13 s and 10 s a pass
+there, left two passes in a run of 30 s, and their figures moved by a
+quarter from run to run.
+
 Item latency:
   verify-trees  time from `verify_distinct` taking one tree from the
-                enumerator to taking the next (the last tree of the pass
-                runs to its return), i.e. the time the pipeline spends per
-                tree.  The hand-over is timestamped by a thin wrapper; no
-                span is recorded in untraced passes.
+                enumerator to taking the next (the first item starts with
+                the call, the last runs to its return), i.e. the time the
+                pipeline spends per tree.  The hand-over is timestamped by a
+                thin wrapper; no span is recorded in untraced passes.
   gen-graphs    time from one graph6 line to the next, as `csfkit gen`
                 prints them.  Four lines in five come from the very next
                 candidate tree and take about 0.1 ms, so the median is that
-                fast path; its run-to-run spread is the widest here.
+                fast path.
   compute-mix   `load_graph`, `compute_report` and `json.dumps` of one
                 request, as `csfkit compute` does them.
 """
@@ -29,9 +39,9 @@ from csfkit import csf, enumeration, formats, verify
 import corpus
 import gates
 
-VERIFY_MAX_N = 14
-GEN_TREES_N = 15
-GEN_UNICYCLIC_N = 9
+VERIFY_MAX_N = 12
+GEN_TREES_N = 13
+GEN_UNICYCLIC_N = 8
 
 
 def _gaps(marks):
@@ -41,6 +51,9 @@ def _gaps(marks):
 class VerifyTrees:
     name = "verify-trees"
     warmup = "import csfkit; csfkit.verify_distinct(1)"
+
+    def __init__(self, max_n=VERIFY_MAX_N):
+        self.max_n = max_n
 
     def prepare(self, seed):
         # inputs are every free tree of each order; the seed changes nothing
@@ -58,17 +71,17 @@ class VerifyTrees:
         verify.enumerate_trees = stamped
         t0 = perf_counter()
         try:
-            reports = verify.verify_distinct(VERIFY_MAX_N, jobs=1)
+            reports = verify.verify_distinct(self.max_n, jobs=1)
         finally:
             t1 = perf_counter()
             verify.enumerate_trees = inner
-        return t1 - t0, _gaps(stamps + [t1]), reports
+        return t1 - t0, _gaps([t0] + stamps + [t1]), reports
 
     def attempted(self, state):
-        return sum(gates.FREE_TREES[:VERIFY_MAX_N])
+        return sum(gates.FREE_TREES[:self.max_n])
 
     def check(self, state, reports):
-        return gates.check_verify(reports, VERIFY_MAX_N)
+        return gates.check_verify(reports, self.max_n)
 
 
 class GenGraphs:
@@ -124,20 +137,20 @@ class ComputeMix:
 
     def run_pass(self, state, tracer=None):
         reqs, _ = state
-        lat, texts = [], []
+        texts = []
         t0 = perf_counter()
+        stamps = [t0]
         for i, req in enumerate(reqs):
             if tracer is not None:
                 tracer.item = i
-            t = perf_counter()
             try:
                 g = formats.load_graph(req.text)
                 text = json.dumps(verify.compute_report(g, req.what), sort_keys=True, indent=2)
             except Exception:  # counted as a failed request; the run goes on
                 text = None
-            lat.append(perf_counter() - t)
+            stamps.append(perf_counter())
             texts.append(text)
-        return perf_counter() - t0, lat, texts
+        return stamps[-1] - t0, _gaps(stamps), texts
 
     def attempted(self, state):
         return len(state[0])
