@@ -125,7 +125,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (GraphParseError, NotATreeError, FileNotFoundError, ValueError) as exc:
+    except (GraphParseError, NotATreeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -405,21 +405,7 @@ def path_sequence(f: Graph):
     In a forest each pair at finite distance determines a unique path, so
     this counts paths by length.  Trailing zeros are trimmed.
     """
-    as_forest(f)
-    adj = f.adjacency_sets()
-    counts = Counter()
-    for src in range(f.n):
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        for v, d in dist.items():
-            if v > src:
-                counts[d] += 1
+    counts = Counter(tree_distance_pairs(f).values())
     top = max(counts, default=0)
     return tuple(counts.get(i, 0) for i in range(1, top + 1))
 
@@ -442,19 +428,3 @@ def tree_distance_pairs(t: Graph):
             if v > src:
                 out[(src, v)] = d
     return out
-
-
-def components(g: Graph, edge_subset=None):
-    return g.components(edge_subset)
-
-
-def delete_edges(g: Graph, s):
-    return g.delete_edges(s)
-
-
-def degree_sequence(g: Graph):
-    return g.degree_sequence()
-
-
-def boundary_and_interior(g: Graph, w_set):
-    return g.boundary_and_interior(w_set)

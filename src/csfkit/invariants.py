@@ -192,6 +192,20 @@ def _checked_coefficient(value, i, j):
     return value
 
 
+def _transform(x, n, coefficient):
+    # The shared (i, j) loop; coefficient(poly, i, j) computes one f(i, j).
+    poly = _poly_of(x)
+    if not poly.is_homogeneous(n) or not poly:
+        raise ConsistencyError(f"input is not a nonzero homogeneous CSF of degree {n}")
+    terms = {}
+    for i in range(1, n + 1):
+        for j in range(0, n - i + 1):
+            value = _checked_coefficient(coefficient(poly, i, j), i, j)
+            if value:
+                terms[(i, j)] = value
+    return BivariatePolynomial(terms)
+
+
 def f_polynomial_from_csf(x, n: int) -> BivariatePolynomial:
     """F_T recovered from a tree CSF by the sigma-transform.
 
@@ -199,21 +213,9 @@ def f_polynomial_from_csf(x, n: int) -> BivariatePolynomial:
     when the input is not homogeneous of degree n or when any recovered
     coefficient is negative or non-integral.
     """
-    poly = _poly_of(x)
-    if not poly.is_homogeneous(n) or not poly:
-        raise ConsistencyError(f"input is not a nonzero homogeneous CSF of degree {n}")
-    terms = {}
-    for i in range(1, n + 1):
-        for j in range(0, n - i + 1):
-            total = 0
-            for lam, c in poly.terms.items():
-                s = sigma(lam, i, j, n)
-                if s:
-                    total += s * c
-            total = _checked_coefficient(total, i, j)
-            if total:
-                terms[(i, j)] = total
-    return BivariatePolynomial(terms)
+    def coefficient(poly, i, j):
+        return sum(sigma(lam, i, j, n) * c for lam, c in poly.terms.items())
+    return _transform(x, n, coefficient)
 
 
 @lru_cache(maxsize=4096)
@@ -232,17 +234,7 @@ def omega_check(x, n: int) -> BivariatePolynomial:
 
     Agrees with f_polynomial_from_csf exactly; same consistency errors.
     """
-    poly = _poly_of(x)
-    if not poly.is_homogeneous(n) or not poly:
-        raise ConsistencyError(f"input is not a nonzero homogeneous CSF of degree {n}")
-    terms = {}
-    for i in range(1, n + 1):
-        for j in range(0, n - i + 1):
-            value = _omega_piece(n, i, j).scalar_product(poly)
-            value = _checked_coefficient(value, i, j)
-            if value:
-                terms[(i, j)] = value
-    return BivariatePolynomial(terms)
+    return _transform(x, n, lambda poly, i, j: _omega_piece(n, i, j).scalar_product(poly))
 
 
 def sign_binomial_matrix(k: int, n: int, i: int):

@@ -194,8 +194,7 @@ class PPolynomial:
     def serialize(self) -> str:
         lines = []
         for parts, c in self.sorted_terms():
-            f = Fraction(c)
-            lines.append(f"{f.numerator}/{f.denominator} : {','.join(map(str, parts))}".rstrip())
+            lines.append(f"{c.numerator}/{c.denominator} : {','.join(map(str, parts))}".rstrip())
         return "\n".join(lines)
 
     @classmethod
@@ -249,22 +248,6 @@ def p_of_partition(parts) -> PPolynomial:
     if not is_partition(parts):
         raise ValueError(f"not a valid partition: {parts!r}")
     return _raw({parts: 1})
-
-
-def add(a: PPolynomial, b: PPolynomial) -> PPolynomial:
-    return a + b
-
-
-def scale(a: PPolynomial, c) -> PPolynomial:
-    return a.scale(c if isinstance(c, (int, Fraction)) else Fraction(c))
-
-
-def multiply(a: PPolynomial, b: PPolynomial) -> PPolynomial:
-    return a * b
-
-
-def partial_derivative(x: PPolynomial, j: int) -> PPolynomial:
-    return x.partial_derivative(j)
 
 
 def scalar_product(a: PPolynomial, b: PPolynomial):

@@ -1,13 +1,10 @@
 """Distinctness verification, collision search, and the identity selftest.
 
 verify_distinct streams every free tree of each order, computes X_T by
-the fast tree DP, and groups trees by a stable 128-bit digest of the
-canonical CSF serialization.  The digest (blake2b-128 with a fixed
-person constant; chosen for bit-stable output across runs and platforms,
-not for cryptographic strength) is only an accelerator: every candidate
-collision inside a digest bucket is confirmed or refuted by exact
-serialization equality, which coincides with polynomial equality because
-the serialization is canonical.
+the fast tree DP, and groups trees in one dict keyed by the canonical CSF
+serialization.  The serialization is canonical, so equal keys mean equal
+polynomials.  Certificates are computed only for trees that share a key,
+to name the colliding pairs.
 
 find_collisions does the unicyclic analogue, where genuine collisions
 exist.  selftest bundles the cross-route identities into named checks,
@@ -82,24 +79,19 @@ class VerificationReport:
         }
 
 
-def _tree_job(payload):
-    n, edges = payload
-    t = Tree(n, edges)
-    cert = canonical_certificate(t).bytes.decode("ascii")
-    ser = csf_tree(t).poly.serialize()
-    return cert, csf_hash(ser), ser
+def _tree_job(t):
+    return csf_tree(t).poly.serialize(), t.edges
 
 
 def _stream_results(n, jobs):
-    payloads = ((n, t.edges) for t in enumerate_trees(n))
+    trees = enumerate_trees(n)
     if jobs <= 1:
-        for p in payloads:
-            yield _tree_job(p)
+        yield from map(_tree_job, trees)
         return
     with Pool(processes=jobs) as pool:
         # imap keeps submission order, so the reduce is order-stable no
         # matter how the pool schedules the work
-        yield from pool.imap(_tree_job, payloads, chunksize=64)
+        yield from pool.imap(_tree_job, trees, chunksize=64)
 
 
 def verify_distinct(max_n: int, jobs: int = 1):
@@ -117,28 +109,24 @@ def verify_distinct(max_n: int, jobs: int = 1):
     reports = []
     for n in range(1, max_n + 1):
         t0 = time.perf_counter()
-        buckets = {}
+        groups = {}
         count = 0
-        for cert, digest, ser in _stream_results(n, jobs):
+        for ser, edges in _stream_results(n, jobs):
             count += 1
-            buckets.setdefault(digest, []).append((cert, ser))
-        distinct = 0
+            groups.setdefault(ser, []).append(edges)
         pairs = []
-        for digest in sorted(buckets):
-            groups = {}
-            for cert, ser in buckets[digest]:
-                groups.setdefault(ser, []).append(cert)
-            distinct += len(groups)
-            for certs in groups.values():
-                if len(certs) > 1:
-                    pairs.extend(combinations(sorted(certs), 2))
+        for edge_lists in groups.values():
+            if len(edge_lists) > 1:
+                certs = sorted(canonical_certificate(Tree(n, edges)).bytes.decode("ascii")
+                               for edges in edge_lists)
+                pairs.extend(combinations(certs, 2))
         pairs.sort()
         elapsed = int((time.perf_counter() - t0) * 1000)
         reports.append(VerificationReport(
             order=n,
             graph_class="trees",
             tree_count=count,
-            distinct_csf_count=distinct,
+            distinct_csf_count=len(groups),
             collisions=pairs,
             elapsed_ms=elapsed,
             config={"max_n": max_n, "jobs": jobs},
@@ -182,13 +170,15 @@ def _counterexample(g: Graph) -> str:
 
 
 def _first_failure(instances, predicate):
-    # instances: iterable of graphs; predicate returns True on pass
-    for g in instances:
+    # instances: graphs, or tuples whose first entry is the graph to report;
+    # predicate returns True on pass
+    for inst in instances:
         try:
-            if not predicate(g):
-                return False, _counterexample(g)
+            ok = predicate(inst)
         except Exception:
-            return False, _counterexample(g)
+            ok = False
+        if not ok:
+            return False, _counterexample(inst[0] if isinstance(inst, tuple) else inst)
     return True, ""
 
 
@@ -234,16 +224,7 @@ def selftest(max_n: int = 7):
     def weighted_routes_agree(pair):
         g, w = pair
         return csf_weighted(g, w).poly == csf_deletion_contraction(g, w).poly
-    ok, cx = True, ""
-    for g, w in _weighted_instances():
-        try:
-            if not weighted_routes_agree((g, w)):
-                ok, cx = False, _counterexample(g)
-                break
-        except Exception:
-            ok, cx = False, _counterexample(g)
-            break
-    run("route-equality-weighted", (ok, cx))
+    run("route-equality-weighted", _first_failure(_weighted_instances(), weighted_routes_agree))
 
     def derivative_ok(f):
         x = csf_forest(f).poly
@@ -265,16 +246,7 @@ def selftest(max_n: int = 7):
         s = set(range(0, len(g.edges), 2))
         s.add(0)
         return inclusion_exclusion_rhs(g, w, s) == csf_weighted(g, w).poly
-    ok, cx = True, ""
-    for g, w in _weighted_instances():
-        try:
-            if not incl_excl_ok((g, w)):
-                ok, cx = False, _counterexample(g)
-                break
-        except Exception:
-            ok, cx = False, _counterexample(g)
-            break
-    run("inclusion-exclusion", (ok, cx))
+    run("inclusion-exclusion", _first_failure(_weighted_instances(), incl_excl_ok))
 
     def corollary_ok(args):
         g, s, h, t = args
@@ -291,16 +263,7 @@ def selftest(max_n: int = 7):
         (g_h6, {3}, h_h6, {3}),
         (g_tm, {0, 2}, g_tm, {0, 2}),
     ]
-    ok, cx = True, ""
-    for args in instances:
-        try:
-            if not corollary_ok(args):
-                ok, cx = False, _counterexample(args[0])
-                break
-        except Exception:
-            ok, cx = False, _counterexample(args[0])
-            break
-    run("corollary-difference", (ok, cx))
+    run("corollary-difference", _first_failure(instances, corollary_ok))
 
     def sigma_ok(t):
         return invariants.f_polynomial_from_csf(csf_tree(t), t.n) == f_polynomial_direct(t)

@@ -16,7 +16,10 @@ from csfkit import (
     write_reports,
 )
 from csfkit import invariants
+from csfkit import verify as verify_module
 from csfkit.cli import main
+from csfkit.csf import CsfResult
+from csfkit.psym import PPolynomial
 
 TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47)
 
@@ -128,6 +131,50 @@ def test_selftest_detects_injected_fault(monkeypatch):
     assert g.n >= 1
 
 
+def test_verify_distinct_reports_colliding_trees(monkeypatch):
+    # one CSF per order: every pair of trees of that order collides, and
+    # the pairs are named by sorted tree certificates
+    monkeypatch.setattr(verify_module, "csf_tree",
+                        lambda t: CsfResult(PPolynomial({(t.n,): 1}), t.n))
+    for jobs in (1, 2):
+        reports = verify_distinct(5, jobs=jobs)
+        assert [r.tree_count for r in reports] == [1, 1, 1, 2, 3]
+        assert [r.distinct_csf_count for r in reports] == [1, 1, 1, 1, 1]
+        assert [r.collisions for r in reports[:3]] == [[], [], []]
+        assert reports[3].collisions == [("((())())", "(()()())")]
+        assert reports[4].collisions == [
+            ("((()())())", "((())(()))"),
+            ("((()())())", "(()()()())"),
+            ("((())(()))", "(()()()())"),
+        ]
+
+
+def _failures(results):
+    return {name: cx for name, passed, cx in results if not passed}
+
+
+def test_selftest_reports_weighted_route_failure(monkeypatch):
+    monkeypatch.setattr(verify_module, "csf_deletion_contraction",
+                        lambda g, w=None: CsfResult(PPolynomial(), g.n))
+    ok, results = selftest(max_n=4)
+    assert not ok
+    # the loop graph has CSF 0, so the double edge is the first mismatch,
+    # named as edge-list text because it is a multigraph
+    assert _failures(results)["route-equality-weighted"] == "2 2; 0 1; 0 1"
+
+
+def test_selftest_reports_corollary_failure(monkeypatch):
+    def broken(g, s, h, t):
+        raise RuntimeError("injected")
+    monkeypatch.setattr(verify_module, "corollary_difference", broken)
+    ok, results = selftest(max_n=4)
+    assert not ok
+    assert [name for name, _, _ in results][5] == "corollary-difference"
+    cx = _failures(results)["corollary-difference"]
+    assert cx == "Cp"
+    assert parse_graph6(cx) == Graph(4, [(0, 1), (0, 2), (2, 3)])
+
+
 def test_compute_report_csf():
     doc = compute_report(Graph(3, [(0, 1), (1, 2), (0, 2)]), "csf")
     assert doc["n"] == 3 and doc["edge_count"] == 3
@@ -224,6 +271,11 @@ def test_cli_compute_non_tree_invariants_is_usage_error(tmp_path, capsys):
 
 def test_cli_compute_missing_file(tmp_path, capsys):
     assert main(["compute", "--input", str(tmp_path / "nope"), "--what", "csf"]) == 2
+
+
+def test_cli_compute_unreadable_input_is_usage_error(tmp_path, capsys):
+    assert main(["compute", "--input", str(tmp_path), "--what", "csf"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_verify_and_report(tmp_path, capsys):
