@@ -1,10 +1,11 @@
 """Canonical forms: AHU certificates for trees, and a small-graph
 canonicalizer for multigraphs with optional vertex colors.
 
-Tree certificates are exact and linear-ish: root at the center (both
-centers for bicentered trees, keeping the lexicographic minimum) and
-encode each rooted subtree as a parenthesization with sorted children.
-Two trees get equal certificates iff they are isomorphic.
+Tree certificates are plain AHU strings, exact and linear-ish: root at
+the center (both centers for bicentered trees, keeping the lexicographic
+minimum) and encode each rooted subtree as a parenthesization with
+sorted children.  Two trees get equal certificates iff they are
+isomorphic.
 
 The small-graph canonicalizer is an individualization-refinement search
 (color refinement, then branch on the first non-singleton class), i.e.
@@ -54,34 +55,10 @@ def rooted_code(adj, root) -> str:
     return code(root, -1)
 
 
-class TreeCertificate:
-    """Canonical byte string; equal iff the trees are isomorphic."""
-
-    __slots__ = ("bytes",)
-
-    def __init__(self, data: bytes):
-        self.bytes = bytes(data)
-
-    def __eq__(self, other):
-        if not isinstance(other, TreeCertificate):
-            return NotImplemented
-        return self.bytes == other.bytes
-
-    def __lt__(self, other):
-        return self.bytes < other.bytes
-
-    def __hash__(self):
-        return hash(self.bytes)
-
-    def __repr__(self):
-        return f"TreeCertificate({self.bytes!r})"
-
-
-def canonical_certificate(t: Tree) -> TreeCertificate:
-    """Center-rooted canonical certificate of a tree."""
+def canonical_certificate(t: Tree) -> str:
+    """Center-rooted AHU code of a tree; equal iff the trees are isomorphic."""
     adj = t.adjacency_sets()
-    best = min(rooted_code(adj, c) for c in tree_centers(t))
-    return TreeCertificate(best.encode("ascii"))
+    return min(rooted_code(adj, c) for c in tree_centers(t))
 
 
 def _refine(n, adjmult, loops, col):

@@ -7,19 +7,24 @@ sequences (each entry is the depth of a vertex in preorder, root depth
 1, and each subtree's sequence is lexicographically maximal among its
 siblings' reorderings).  Starting from the path (1,2,...,n) the
 successor rule walks every canonical sequence exactly once, ending at
-the star (1,2,2,...,2).  Each free tree is then kept exactly once by a
-center-rooting filter: a generated rooted tree survives iff its rooted
-code equals the free certificate of its underlying tree.  Rooted codes
-determine rooted isomorphism and automorphisms preserve the center set,
-so exactly one generated rooted tree per free isomorphism class
-survives, with no certificate bookkeeping across items.
+the star (1,2,2,...,2).  After Wright, Richmond, Odlyzko and McKay
+("Constant time generation of free trees", SIAM J. Comput. 1986), each
+free tree is kept once by a test on its sequence alone.  Split it into
+the first child's subtree ``left`` and the root with its other subtrees
+``rest``.  The tallest subtree comes first, so the root is a centre iff
+``rest`` is at least as tall as ``left``.  If both are equally tall, the
+tree is bicentral and the other centre's rooting swaps the two; the one
+with ``(len(left), left) <= (len(rest), rest)`` is kept, and if both are
+one rooted tree the walk meets it once.  Only kept sequences are built
+into a ``Tree``.
 
 Unicyclic graphs are produced the blunt way the small cap invites:
 add every non-edge to every tree and deduplicate by the small-graph
 canonical form.
 """
 
-from .canon import canonical_certificate, rooted_code, small_graph_certificate
+# canonical_certificate is unused here but perfbench/tracing.py wraps it by this module's name
+from .canon import canonical_certificate, small_graph_certificate  # noqa: F401
 from .errors import CapacityError
 from .graphs import Graph, Tree
 
@@ -66,6 +71,16 @@ def _edges_from_levels(levels):
     return edges
 
 
+def _free_canonical(levels):
+    """True iff this rooted tree is the one kept for its free tree (n >= 2)."""
+    # the first child's subtree ends at the next 2, or at the sentinel
+    split = (levels + [2]).index(2, 2)
+    left = [d - 1 for d in levels[1:split]]
+    rest = levels[:1] + levels[split:]
+    # by height first: the root is a centre iff rest is at least as tall
+    return (max(left), len(left), left) <= (max(rest), len(rest), rest)
+
+
 def enumerate_trees(n: int):
     """Yield one representative per isomorphism class of free trees on n
     vertices (1 <= n <= 22)."""
@@ -76,14 +91,9 @@ def enumerate_trees(n: int):
     if n == 1:
         yield Tree(1)
         return
-    if n == 2:
-        yield Tree(2, [(0, 1)])
-        return
     for levels in _level_sequences(n):
-        t = Tree(n, _edges_from_levels(levels))
-        code = rooted_code(t.adjacency_sets(), 0)
-        if code.encode("ascii") == canonical_certificate(t).bytes:
-            yield t
+        if _free_canonical(levels):
+            yield Tree(n, _edges_from_levels(levels))
 
 
 def classify(t: Tree) -> str:

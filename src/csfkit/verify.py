@@ -12,11 +12,11 @@ each reporting a minimal counterexample on failure.
 """
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from itertools import combinations
-from multiprocessing import Pool
 from pathlib import Path
 
 from . import invariants
@@ -88,7 +88,8 @@ def _stream_results(n, jobs):
     if jobs <= 1:
         yield from map(_tree_job, trees)
         return
-    with Pool(processes=jobs) as pool:
+    from multiprocessing import Pool  # here, so that importing csfkit does not load it
+    with Pool(processes=min(jobs, os.cpu_count() or 1)) as pool:
         # imap keeps submission order, so the reduce is order-stable no
         # matter how the pool schedules the work
         yield from pool.imap(_tree_job, trees, chunksize=64)
@@ -117,8 +118,7 @@ def verify_distinct(max_n: int, jobs: int = 1):
         pairs = []
         for edge_lists in groups.values():
             if len(edge_lists) > 1:
-                certs = sorted(canonical_certificate(Tree(n, edges)).bytes.decode("ascii")
-                               for edges in edge_lists)
+                certs = sorted(canonical_certificate(Tree(n, edges)) for edges in edge_lists)
                 pairs.extend(combinations(certs, 2))
         pairs.sort()
         elapsed = int((time.perf_counter() - t0) * 1000)

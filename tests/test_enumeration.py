@@ -29,13 +29,30 @@ def test_tree_counts():
 
 
 def test_trees_are_trees_and_distinct():
-    for n in range(1, 10):
+    # OEIS A000055 through n = 14
+    counts = TREE_COUNTS + (1301, 3159)
+    for n in range(1, 15):
         certs = set()
         for t in enumerate_trees(n):
             assert isinstance(t, Tree)
             assert t.n == n
             certs.add(canonical_certificate(t))
-        assert len(certs) == TREE_COUNTS[n - 1]
+        assert len(certs) == counts[n - 1]
+
+
+def test_one_tree_built_per_free_tree(monkeypatch):
+    # rooted candidates are rejected from their level sequence, before
+    # any Tree is built
+    calls = []
+    real_init = Tree.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tree, "__init__", counting_init)
+    assert len(list(enumerate_trees(10))) == 106
+    assert len(calls) == 106
 
 
 def test_exhaustive_prufer_cross_check():

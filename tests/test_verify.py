@@ -1,6 +1,13 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import csfkit
 
 from csfkit import (
     CapacityError,
@@ -53,6 +60,48 @@ def test_verify_distinct_jobs_agree():
     for da, db in zip(a, b):
         da["config"] = db["config"] = None
         assert da == db
+
+
+def test_verify_pool_bounded_by_cpu_count(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        # stands in for multiprocessing.Pool: records the worker count and
+        # maps in-process, so no process is started
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 3)
+    expected = [strip_elapsed(r) for r in verify_distinct(4)]
+    reports = verify_distinct(4, jobs=100000)
+    assert started == [3, 3, 3, 3]
+    for want, got in zip(expected, map(strip_elapsed, reports)):
+        assert got["config"] == {"max_n": 4, "jobs": 100000}
+        got["config"]["jobs"] = 1
+        assert got == want
+    verify_distinct(2, jobs=2)
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: None)
+    verify_distinct(1, jobs=2)
+    assert started[4:] == [2, 2, 1]
+
+
+def test_import_does_not_load_multiprocessing():
+    # a fresh interpreter, since this one may have loaded it already
+    src = str(Path(csfkit.__file__).resolve().parent.parent)
+    code = "import sys, csfkit; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_verify_distinct_validates_inputs():
