@@ -7,7 +7,7 @@ serialization.
 
 from fractions import Fraction
 
-from csfkit import PPolynomial, p_of_partition, scalar_product
+from csfkit import PPolynomial, p_of_partition
 from csfkit.partitions import partitions, z_of
 
 
@@ -40,7 +40,7 @@ def main():
     print("The scalar product is diagonal with <p_lam, p_lam> = z_lam:")
     for lam in partitions(4):
         print(f"    z_{lam} = {z_of(lam)};  "
-              f"<p,p> = {scalar_product(p_of_partition(lam), p_of_partition(lam))}")
+              f"<p,p> = {p_of_partition(lam).scalar_product(p_of_partition(lam))}")
     print()
 
     print("Serialization round-trips bit for bit:")

@@ -35,7 +35,8 @@ from .errors import CapacityError
 from .graphs import Graph, Tree, VertexWeighting, as_forest, contract_edges, enumerate_subtrees
 from .psym import ONE, PPolynomial, p_of_partition
 
-SUBSET_EDGE_CAP = 64
+SUBSET_LEAF_CAP = 1 << 22
+SUBSET_DEPTH_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,15 @@ class CsfResult:
 def _subset_expansion(n, edges, weights):
     """Signed counts {pi(A): sum of (-1)^|A|} over edge subsets A."""
     m = len(edges)
-    if m > SUBSET_EDGE_CAP:
-        raise CapacityError(f"edge-subset expansion capped at {SUBSET_EDGE_CAP} edges, got {m}")
+    # The walk recurses once per edge and reaches one leaf per acyclic
+    # subset: at most n - 1 edges, none a loop.
+    if m > SUBSET_DEPTH_CAP:
+        raise CapacityError(f"edge-subset expansion capped at {SUBSET_DEPTH_CAP} edges, got {m}")
+    links, leaves = sum(u != v for u, v in edges), 0
+    for k in range(min(links, n - 1) + 1):
+        leaves += comb(links, k)
+        if leaves > SUBSET_LEAF_CAP:
+            raise CapacityError(f"subset expansion capped at {SUBSET_LEAF_CAP} acyclic subsets")
     parent = list(range(n))
     size = [1] * n
     rootw = list(weights)
@@ -181,37 +189,27 @@ def _tree_partition_counts(t: Graph):
     n = t.n
     adj = t.adjacency_sets()
     parent = [-1] * n
-    order = []
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
+    order = [0]
+    for v in order:
         for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
+            if u != parent[v]:
                 parent[u] = v
-                stack.append(u)
-    state = [None] * n
-    for v in reversed(order):
-        sv = {(1, ()): 1}
-        for u in adj[v]:
-            if parent[u] != v:
-                continue
-            su = state[u]
-            state[u] = None
-            nxt = {}
-            get = nxt.get
-            for (s1, mu1), c1 in sv.items():
-                for (s2, mu2), c2 in su.items():
-                    cc = c1 * c2
-                    cut = (s1, tuple(sorted(mu1 + mu2 + (s2,), reverse=True)))
-                    keep = (s1 + s2, tuple(sorted(mu1 + mu2, reverse=True)))
-                    nxt[cut] = get(cut, 0) + cc
-                    nxt[keep] = get(keep, 0) + cc
-            sv = nxt
-        state[v] = sv
+                order.append(u)
+    # reversed BFS order merges each complete child state into its parent's
+    state = [{(1, ()): 1} for _ in range(n)]
+    for v in reversed(order[1:]):
+        sv, su = state[parent[v]], state[v]
+        state[v] = None
+        nxt = {}
+        get = nxt.get
+        for (s1, mu1), c1 in sv.items():
+            for (s2, mu2), c2 in su.items():
+                cc = c1 * c2
+                cut = (s1, tuple(sorted(mu1 + mu2 + (s2,), reverse=True)))
+                keep = (s1 + s2, tuple(sorted(mu1 + mu2, reverse=True)))
+                nxt[cut] = get(cut, 0) + cc
+                nxt[keep] = get(keep, 0) + cc
+        state[parent[v]] = nxt
     counts = {}
     for (s, mu), c in state[0].items():
         lam = tuple(sorted(mu + (s,), reverse=True))
@@ -227,11 +225,6 @@ def csf_tree(t: Graph) -> CsfResult:
     terms = {lam: (c if (n - len(lam)) % 2 == 0 else -c)
              for lam, c in _tree_partition_counts(t).items()}
     return CsfResult(PPolynomial(terms), n)
-
-
-def coefficient(x: CsfResult, parts):
-    """The coefficient c_lambda of p_lambda in x."""
-    return x.poly.coefficient(tuple(parts))
 
 
 def level_sum(x: CsfResult, k: int):

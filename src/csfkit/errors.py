@@ -6,7 +6,7 @@ class CsfkitError(Exception):
 
 
 class CapacityError(CsfkitError):
-    """An input exceeds a documented size cap (edge bitmasks, enumeration ranges)."""
+    """An input exceeds a documented size cap (edge-subset walks, enumeration ranges)."""
 
 
 class GraphParseError(CsfkitError):

@@ -330,44 +330,8 @@ def trunk(t: Tree):
     return frozenset(alive)
 
 
-class TwigSequence:
-    """counts[i] is the number of twigs of length i+1."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts):
-        cs = list(counts)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if any(c < 0 for c in cs):
-            raise ValueError("twig counts must be nonnegative")
-        self.counts = tuple(cs)
-
-    def of_length(self, length):
-        if length < 1 or length > len(self.counts):
-            return 0
-        return self.counts[length - 1]
-
-    def total(self):
-        return sum(self.counts)
-
-    def __eq__(self, other):
-        if not isinstance(other, TwigSequence):
-            return NotImplemented
-        return self.counts == other.counts
-
-    def __hash__(self):
-        return hash(self.counts)
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __repr__(self):
-        return f"TwigSequence({list(self.counts)!r})"
-
-
-def twig_sequence(f: Graph) -> TwigSequence:
-    """Twig lengths of a forest, collected into a TwigSequence.
+def twig_sequence(f: Graph):
+    """(t_1, t_2, ...): t_i is the number of twigs of length i in a forest.
 
     A twig runs from a leaf to the first vertex of degree >= 3 in its
     component; its length is the number of edges on that walk (the branch
@@ -396,7 +360,7 @@ def twig_sequence(f: Graph) -> TwigSequence:
             lengths.append(steps)
     counts = Counter(lengths)
     top = max(counts, default=0)
-    return TwigSequence(counts.get(i, 0) for i in range(1, top + 1))
+    return tuple(counts.get(i, 0) for i in range(1, top + 1))
 
 
 def path_sequence(f: Graph):

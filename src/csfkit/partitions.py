@@ -24,17 +24,6 @@ def is_partition(parts) -> bool:
     return True
 
 
-def as_partition(parts):
-    """Normalize an iterable of positive integers into a partition tuple.
-
-    Parts are sorted into weakly decreasing order; values are validated.
-    """
-    t = tuple(sorted(parts, reverse=True))
-    if not is_partition(t):
-        raise ValueError(f"not a valid partition: {parts!r}")
-    return t
-
-
 def merge_parts(a, b):
     """Multiset union of two partitions, re-sorted: the index of p_a * p_b."""
     return tuple(sorted(a + b, reverse=True))
@@ -70,16 +59,6 @@ def partitions(n):
             take = min(cap, rest)
             current.append(take)
             rest -= take
-
-
-def count_partitions(n) -> int:
-    """Number of partitions of n (direct count of the generator)."""
-    return sum(1 for _ in partitions(n))
-
-
-def multiplicity(parts, i) -> int:
-    """Number of parts of `parts` equal to i."""
-    return sum(1 for p in parts if p == i)
 
 
 def z_of(parts) -> int:

@@ -35,11 +35,6 @@ def _as_exact(c):
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
-def _term_sort_key(parts):
-    # degree ascending, then reverse-lex on parts
-    return (sum(parts), tuple(-p for p in parts))
-
-
 class PPolynomial:
     """Immutable sparse polynomial in the power-sum basis."""
 
@@ -189,7 +184,8 @@ class PPolynomial:
 
     def sorted_terms(self):
         """Terms in canonical order: degree ascending, reverse-lex parts."""
-        return sorted(self._terms.items(), key=lambda kv: _term_sort_key(kv[0]))
+        # reversed lex order is reverse-lex, as no partition prefixes another of its degree
+        return sorted(self._terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]), reverse=True)
 
     def serialize(self) -> str:
         lines = []
@@ -248,7 +244,3 @@ def p_of_partition(parts) -> PPolynomial:
     if not is_partition(parts):
         raise ValueError(f"not a valid partition: {parts!r}")
     return _raw({parts: 1})
-
-
-def scalar_product(a: PPolynomial, b: PPolynomial):
-    return a.scalar_product(b)

@@ -48,6 +48,7 @@ from .invariants import (
 )
 
 VERIFY_CAP = 20
+SELFTEST_CAP = 12
 HASH_PERSON = b"csfkit.csf.v1"
 
 
@@ -77,6 +78,12 @@ class VerificationReport:
             "elapsed_ms": self.elapsed_ms,
             "config": dict(self.config),
         }
+
+
+def _pairs(groups, name):
+    """Sorted (a, b, key) over pairs of named members of groups of two or more."""
+    return sorted((a, b, key) for key, members in groups.items() if len(members) > 1
+                  for a, b in combinations(sorted(map(name, members)), 2))
 
 
 def _tree_job(t):
@@ -115,19 +122,14 @@ def verify_distinct(max_n: int, jobs: int = 1):
         for ser, edges in _stream_results(n, jobs):
             count += 1
             groups.setdefault(ser, []).append(edges)
-        pairs = []
-        for edge_lists in groups.values():
-            if len(edge_lists) > 1:
-                certs = sorted(canonical_certificate(Tree(n, edges)) for edges in edge_lists)
-                pairs.extend(combinations(certs, 2))
-        pairs.sort()
+        pairs = _pairs(groups, lambda edges: canonical_certificate(Tree(n, edges)))
         elapsed = int((time.perf_counter() - t0) * 1000)
         reports.append(VerificationReport(
             order=n,
             graph_class="trees",
             tree_count=count,
             distinct_csf_count=len(groups),
-            collisions=pairs,
+            collisions=[(a, b) for a, b, _ in pairs],
             elapsed_ms=elapsed,
             config={"max_n": max_n, "jobs": jobs},
         ))
@@ -152,15 +154,8 @@ def find_collisions(graph_class: str, n: int):
         raise CapacityError("collision search supports unicyclic graphs with 3 <= n <= 8")
     groups = {}
     for g in enumerate_unicyclic(n):
-        ser = csf_power_sum(g).poly.serialize()
-        groups.setdefault(ser, []).append(canonical_graph6(g))
-    out = []
-    for ser in sorted(groups):
-        certs = sorted(groups[ser])
-        if len(certs) > 1:
-            out.extend((a, b, ser) for a, b in combinations(certs, 2))
-    out.sort()
-    return out
+        groups.setdefault(csf_power_sum(g).poly.serialize(), []).append(g)
+    return _pairs(groups, canonical_graph6)
 
 
 def _counterexample(g: Graph) -> str:
@@ -206,6 +201,10 @@ def selftest(max_n: int = 7):
 
     max_n bounds the tree corpora; max_n = 1 makes most checks vacuous.
     """
+    if not isinstance(max_n, int) or max_n < 1:
+        raise ValueError("max_n must be a positive integer")
+    if max_n > SELFTEST_CAP:
+        raise CapacityError(f"selftest capped at max_n = {SELFTEST_CAP}")
     trees = [t for n in range(1, max_n + 1) for t in enumerate_trees(n)]
     small_trees = [t for t in trees if t.n <= 6]
     results = []

@@ -1,0 +1,29 @@
+"""Inputs that must end with an exit code, not hang, when run as a command."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "csfkit", *args], capture_output=True,
+                          text=True, timeout=30, env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+def test_compute_csf_on_long_path_is_capacity_error(tmp_path):
+    f = tmp_path / "path40.txt"
+    f.write_text("40 39\n" + "".join(f"{i} {i + 1}\n" for i in range(39)))
+    out = run_cli("compute", "--input", str(f), "--what", "csf")
+    assert out.returncode == 3, out.stderr
+    assert "capped" in out.stderr
+
+
+@pytest.mark.parametrize("max_n, code", [("0", 2), ("13", 3)])
+def test_selftest_max_n_out_of_range(max_n, code):
+    out = run_cli("selftest", "--max-n", max_n)
+    assert out.returncode == code, out.stderr

@@ -10,7 +10,6 @@ from csfkit import (
     PPolynomial,
     Tree,
     VertexWeighting,
-    coefficient,
     corollary_difference,
     csf_deletion_contraction,
     csf_forest,
@@ -24,7 +23,7 @@ from csfkit import (
     subtree_derivative,
 )
 from csfkit.csf import _tree_partition_counts
-from helpers import random_tree, random_weighted_multigraph
+from helpers import random_permutation, random_tree, random_weighted_multigraph
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -85,6 +84,20 @@ def test_route_equality_all_trees():
             assert csf_tree(t).poly == a
 
 
+def test_tree_route_on_random_labellings():
+    # enumerated trees are rooted at vertex 0 with parents numbered first;
+    # relabelled trees with shuffled, flipped edges are not
+    rng = random.Random(2023)
+    for _ in range(150):
+        t = random_tree(rng, rng.randint(1, 12))
+        perm = random_permutation(rng, t.n)
+        edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+                 for u, v in t.edges]
+        rng.shuffle(edges)
+        t = Tree(t.n, edges)
+        assert csf_tree(t).poly == csf_power_sum(t).poly
+
+
 def test_route_equality_random_weighted_multigraphs():
     rng = random.Random(101)
     for _ in range(200):
@@ -129,9 +142,9 @@ def test_tree_route_rejects_non_trees():
 
 def test_coefficient_and_level_sum():
     x = csf_power_sum(P3)
-    assert coefficient(x, (2, 1)) == -2
-    assert coefficient(x, (3,)) == 1
-    assert coefficient(x, (1, 1)) == 0
+    assert x.poly.coefficient((2, 1)) == -2
+    assert x.poly.coefficient((3,)) == 1
+    assert x.poly.coefficient((1, 1)) == 0
     assert level_sum(x, 3) == 1
     assert level_sum(x, 2) == -2
     assert level_sum(x, 1) == 1
@@ -225,10 +238,15 @@ def test_corollary_parity_defect():
     assert lhs - rhs == poly({(3,): -2})
 
 
-def test_edge_cap():
-    g = Graph(2, [(0, 1)] * 65)
+def test_subset_cap_bounds_acyclic_subsets():
+    # a 40-vertex path has 2^39 acyclic edge subsets: refused before the walk
     with pytest.raises(CapacityError):
-        csf_power_sum(g)
+        csf_power_sum(Graph(40, [(i, i + 1) for i in range(39)]))
+    # 65 parallel edges on 2 vertices have 66: computed at once
+    assert csf_power_sum(Graph(2, [(0, 1)] * 65)).poly == poly({(1, 1): 1, (2,): -1})
+    # the walk recurses once per edge
+    with pytest.raises(CapacityError):
+        csf_power_sum(Graph(2, [(0, 1)] * 501))
 
 
 def test_deletion_contraction_weighted_hand():

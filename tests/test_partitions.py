@@ -1,11 +1,6 @@
-import pytest
-
 from csfkit.partitions import (
-    as_partition,
-    count_partitions,
     is_partition,
     merge_parts,
-    multiplicity,
     partitions,
     z_of,
 )
@@ -16,7 +11,6 @@ PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
 def test_counts_match_reference():
     for n, expected in enumerate(PARTITION_COUNTS):
-        assert count_partitions(n) == expected
         assert sum(1 for _ in partitions(n)) == expected
 
 
@@ -43,17 +37,6 @@ def test_no_duplicates():
         assert len(seen) == len(set(seen))
 
 
-def test_as_partition():
-    assert as_partition([1, 3, 2]) == (3, 2, 1)
-    assert as_partition(()) == ()
-    with pytest.raises(ValueError):
-        as_partition([0, 1])
-    with pytest.raises(ValueError):
-        as_partition([-2])
-    with pytest.raises(ValueError):
-        as_partition([1.5])
-
-
 def test_is_partition():
     assert is_partition((3, 1, 1))
     assert is_partition(())
@@ -65,13 +48,6 @@ def test_merge_parts():
     assert merge_parts((3, 1), (2, 2)) == (3, 2, 2, 1)
     assert merge_parts((), (4,)) == (4,)
     assert merge_parts((), ()) == ()
-
-
-def test_multiplicity():
-    lam = (4, 2, 2, 1)
-    assert multiplicity(lam, 2) == 2
-    assert multiplicity(lam, 4) == 1
-    assert multiplicity(lam, 3) == 0
 
 
 def test_z_values():

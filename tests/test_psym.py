@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csfkit.partitions import partitions, z_of
-from csfkit.psym import ONE, ZERO, PPolynomial, p_of_partition, scalar_product
+from csfkit.psym import ONE, ZERO, PPolynomial, p_of_partition
 
 
 def poly(d):
@@ -77,14 +77,14 @@ def test_scalar_product_orthogonality():
     lams = [lam for n in range(0, 6) for lam in partitions(n)]
     for lam in lams:
         for mu in lams:
-            got = scalar_product(p_of_partition(lam), p_of_partition(mu))
+            got = p_of_partition(lam).scalar_product(p_of_partition(mu))
             assert got == (z_of(lam) if lam == mu else 0)
 
 
 def test_scalar_product_hand():
     a = poly({(2, 1): 2, (1, 1, 1): 1})
     b = poly({(2, 1): Fraction(1, 2), (3,): 7})
-    assert scalar_product(a, b) == Fraction(1, 2) * z_of((2, 1)) * 2
+    assert a.scalar_product(b) == Fraction(1, 2) * z_of((2, 1)) * 2
 
 
 def test_degree_and_homogeneity():
@@ -153,4 +153,4 @@ def test_serialize_round_trip(a):
 @settings(max_examples=80, deadline=None)
 @given(polys, polys)
 def test_scalar_product_symmetry(a, b):
-    assert scalar_product(a, b) == scalar_product(b, a)
+    assert a.scalar_product(b) == b.scalar_product(a)
