@@ -4,8 +4,8 @@ canonicalizer for multigraphs with optional vertex colors.
 Tree certificates are plain AHU strings, exact and linear-ish: root at
 the center (both centers for bicentered trees, keeping the lexicographic
 minimum) and encode each rooted subtree as a parenthesization with
-sorted children.  Two trees get equal certificates iff they are
-isomorphic.
+sorted children, bottom-up along graphs.rooted_order.  Two trees get
+equal certificates iff they are isomorphic.
 
 The small-graph canonicalizer is an individualization-refinement search
 (color refinement, then branch on the first non-singleton class), i.e.
@@ -18,41 +18,40 @@ every use in this package is far below that.
 from collections import Counter
 
 from .errors import CapacityError
-from .graphs import Graph, Tree
+from .graphs import Graph, Tree, rooted_order
 
 SMALL_GRAPH_CAP = 12
 
 
 def tree_centers(t: Graph):
-    """The one or two middle vertices of a tree (leaf stripping)."""
-    n = t.n
-    if n == 1:
-        return [0]
-    adj = [set(a) for a in t.adjacency_sets()]
-    alive = set(range(n))
-    layer = [v for v in alive if len(adj[v]) <= 1]
-    while len(alive) > 2:
-        nxt = []
-        for v in layer:
-            alive.discard(v)
-        for v in layer:
-            for u in adj[v]:
-                adj[u].discard(v)
-                if u in alive and len(adj[u]) == 1:
-                    nxt.append(u)
-            adj[v].clear()
-        layer = sorted(set(nxt))
-    return sorted(alive)
+    """The one or two middle vertices of a tree: the middle of a longest
+    path, found by walking to a farthest vertex and back."""
+    adj = t.adjacency_sets()
+    far = 0
+    for _ in range(2):
+        order, parent = rooted_order(adj, far)
+        depth = [0] * len(adj)
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
+        start, far = far, max(order, key=depth.__getitem__)
+    path = [far]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    k = len(path) - 1
+    return sorted(path[k // 2:(k + 1) // 2 + 1])
 
 
 def rooted_code(adj, root) -> str:
-    """AHU parenthesization of the tree rooted at root, children sorted."""
+    """AHU parenthesization of the tree rooted at root, children sorted.
 
-    def code(v, parent):
-        subs = sorted(code(u, v) for u in adj[v] if u != parent)
-        return "(" + "".join(subs) + ")"
-
-    return code(root, -1)
+    Built in reversed preorder, so every child's code exists before its
+    parent's.
+    """
+    order, parent = rooted_order(adj, root)
+    code = {}
+    for v in reversed(order):
+        code[v] = "(" + "".join(sorted(code.pop(u) for u in adj[v] if u != parent[v])) + ")"
+    return code[root]
 
 
 def canonical_certificate(t: Tree) -> str:
@@ -116,26 +115,25 @@ def small_graph_certificate(g: Graph, colors=None):
                         for u, v in norm_edges)
         return (n, tuple(raw_colors[v] for v in order), tuple(placed))
 
-    best = [None]
-
-    def search(col):
-        col = _refine(n, adjmult, loops, col)
+    # Depth-first over the individualization tree; the certificate is the
+    # least over its leaves, so the visiting order does not matter.
+    best, stack = None, [init]
+    while stack:
+        col = _refine(n, adjmult, loops, stack.pop())
         counts = Counter(col)
         target = min((c for c, k in counts.items() if k > 1), default=None)
         if target is None:
             cert = build(col)
-            if best[0] is None or cert < best[0]:
-                best[0] = cert
-            return
+            if best is None or cert < best:
+                best = cert
+            continue
         fresh = n  # strictly above every rank _refine can assign
         for v in range(n):
             if col[v] == target:
                 branched = list(col)
                 branched[v] = fresh
-                search(tuple(branched))
-
-    search(init)
-    return best[0]
+                stack.append(tuple(branched))
+    return best
 
 
 def are_isomorphic(g1: Graph, g2: Graph, colors1=None, colors2=None) -> bool:

@@ -32,11 +32,13 @@ from math import comb
 
 from .canon import are_isomorphic
 from .errors import CapacityError
-from .graphs import Graph, Tree, VertexWeighting, as_forest, contract_edges, enumerate_subtrees
+from .graphs import (Graph, Tree, VertexWeighting, as_forest, contract_edges, enumerate_subtrees,
+                     rooted_order)
 from .psym import ONE, PPolynomial, p_of_partition
 
 SUBSET_LEAF_CAP = 1 << 22
 SUBSET_DEPTH_CAP = 500
+TREE_DP_WORK_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -184,22 +186,19 @@ def _tree_partition_counts(t: Graph):
     either cut (the child's open component closes) or kept (open sizes
     add).  Linear passes over the state dicts replace the exponential
     subset walk; signs are recovered at the end from the part count,
-    since |A| = n - l(pi(A)).
+    since |A| = n - l(pi(A)).  Raises CapacityError once the merges have
+    paired more than TREE_DP_WORK_CAP states.
     """
-    n = t.n
-    adj = t.adjacency_sets()
-    parent = [-1] * n
-    order = [0]
-    for v in order:
-        for u in adj[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
-    # reversed BFS order merges each complete child state into its parent's
-    state = [{(1, ()): 1} for _ in range(n)]
+    order, parent = rooted_order(t.adjacency_sets(), 0)
+    # reversed preorder merges each complete child state into its parent's
+    state = [{(1, ()): 1} for _ in order]
+    work = 0
     for v in reversed(order[1:]):
         sv, su = state[parent[v]], state[v]
         state[v] = None
+        work += len(sv) * len(su)
+        if work > TREE_DP_WORK_CAP:
+            raise CapacityError(f"tree DP capped at {TREE_DP_WORK_CAP} state pairs merged")
         nxt = {}
         get = nxt.get
         for (s1, mu1), c1 in sv.items():
@@ -263,21 +262,17 @@ def inclusion_exclusion_rhs(g: Graph, w: VertexWeighting, s) -> PPolynomial:
     s = sorted(set(s))
     if not s:
         raise ValueError("S must be a nonempty set of edge indices")
+    gc, wc = contract_edges(g, w, set(s))
+    term = csf_weighted(gc, wc).poly
+    return _deletion_sum(g, w, s) + (term if len(s) % 2 == 0 else -term)
+
+
+def _deletion_sum(g: Graph, w: VertexWeighting, s) -> PPolynomial:
+    """Sum over nonempty I subset S of (-1)^(|I|-1) X_(G-I, w)."""
     total = PPolynomial()
     for r in range(1, len(s) + 1):
         for subset in combinations(s, r):
             term = csf_weighted(g.delete_edges(subset), w).poly
-            total = total + (term if r % 2 == 1 else -term)
-    gc, wc = contract_edges(g, w, set(s))
-    term = csf_weighted(gc, wc).poly
-    return total + (term if len(s) % 2 == 0 else -term)
-
-
-def _deletion_sum(g: Graph, s) -> PPolynomial:
-    total = PPolynomial()
-    for r in range(1, len(s) + 1):
-        for subset in combinations(s, r):
-            term = csf_power_sum(g.delete_edges(subset)).poly
             total = total + (term if r % 2 == 1 else -term)
     return total
 
@@ -305,5 +300,6 @@ def corollary_difference(g: Graph, s, h: Graph, t):
     if not are_isomorphic(gc, hc, gw.weights, hw.weights):
         raise ValueError("precondition failed: G/S and H/T are not isomorphic as weighted graphs")
     lhs = csf_power_sum(g).poly - csf_power_sum(h).poly
-    rhs = _deletion_sum(g, s) - _deletion_sum(h, t)
+    unit = VertexWeighting.unit
+    rhs = _deletion_sum(g, unit(g.n), s) - _deletion_sum(h, unit(h.n), t)
     return lhs, rhs

@@ -6,12 +6,15 @@ subsets everywhere are sets of edge *indices*, which is what the CSF
 subset expansion and deletion/contraction identities address.
 
 Tree-specific queries (subtree enumeration, trunk, twigs, path counts)
-live here as functions; csf-engine and invariants consume them.
+live here as functions; csf-engine and invariants consume them.  Every
+rooted walk goes through rooted_order, an iterative preorder.
 """
 
-from collections import Counter, deque
+from collections import Counter
 
-from .errors import NotATreeError
+from .errors import CapacityError, NotATreeError
+
+SUBTREE_WORK_CAP = 1 << 24
 
 
 class DisjointSet:
@@ -269,65 +272,84 @@ def as_forest(g: Graph) -> Graph:
     return g
 
 
+def rooted_order(adj, root):
+    """(order, parent) of the tree around root, walked without recursion.
+
+    order is a preorder of root's component in which each vertex's
+    descendants follow it contiguously, and siblings come in the
+    iteration order of adj; reversed, it lists every child before its
+    parent.  parent[v] is v's parent, -1 for root and outside vertices.
+    """
+    parent = [-1] * len(adj)
+    order, stack = [], [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        kids = [u for u in adj[v] if u != parent[v]]
+        for u in kids:
+            parent[u] = v
+        stack.extend(reversed(kids))
+    return order, parent
+
+
 def enumerate_subtrees(t: Graph):
     """Yield every nonempty vertex set inducing a connected subgraph.
 
     For a forest these are exactly the subtree vertex sets of its
     components.  Each set is yielded exactly once, as a frozenset.
 
-    Enumeration grows a connected set from its minimum vertex, banning
-    each branch vertex after its subtree of extensions is exhausted, so
-    no set is produced twice.
+    Each set grows from its top vertex through that vertex's preorder
+    block: a vertex joins only after its parent, and leaving a vertex
+    out skips its whole block.  Raises CapacityError, before any set is
+    yielded, when the count of sets times n passes SUBTREE_WORK_CAP.
     """
     as_forest(t)
     adj = t.adjacency_sets()
+    blocks, count = [], 0
+    for comp in t.components():
+        order, parent = rooted_order(adj, min(comp))
+        size = dict.fromkeys(order, 1)
+        tops = dict.fromkeys(order, 1)  # connected sets with v as top vertex
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+            tops[parent[v]] *= 1 + tops[v]
+        count += sum(tops.values())
+        blocks.append((order, [i + size[v] for i, v in enumerate(order)]))
+    if count * t.n > SUBTREE_WORK_CAP:
+        raise CapacityError(f"subtree enumeration capped at {SUBTREE_WORK_CAP} "
+                            f"(subtree count times n), got {count} subtrees")
 
-    def grow(cur, cand, banned):
-        # cur is connected; cand holds the addable neighbors of cur.
-        # After every superset through u is emitted, u joins the ban set
-        # for the remaining branches, which kills duplicates.
-        yield frozenset(cur)
-        banned = set(banned)
-        for u in sorted(cand):
-            new_cand = (cand | adj[u]) - cur - banned
-            new_cand.discard(u)
-            yield from grow(cur | {u}, new_cand, banned)
-            banned.add(u)
+    def walk():
+        for order, end in blocks:
+            for top, v in enumerate(order):
+                stack = [(top + 1, (v,))]
+                while stack:
+                    i, cur = stack.pop()
+                    if i == end[top]:
+                        yield frozenset(cur)
+                        continue
+                    stack.append((end[i], cur))  # order[i] left out
+                    stack.append((i + 1, cur + (order[i],)))
 
-    def walk_roots():
-        for root in range(t.n):
-            below = set(range(root))
-            yield from grow({root}, adj[root] - below, below)
-
-    return walk_roots()
+    return walk()
 
 
 def trunk(t: Tree):
     """Smallest subtree containing all vertices of degree >= 3.
 
     Empty frozenset when no such vertex exists (paths); for a spider this
-    is the single branch vertex.
+    is the single branch vertex.  Rooted at a branch vertex, a vertex is
+    in the trunk iff its subtree holds a branch vertex.
     """
-    degs = t.degrees()
-    branch = {v for v in range(t.n) if degs[v] >= 3}
-    if not branch:
-        return frozenset()
-    # Strip leaves of the tree repeatedly, never removing branch vertices;
-    # what survives is the Steiner tree of the branch set.
-    adj = [set(a) for a in t.adjacency_sets()]
-    alive = set(range(t.n))
-    queue = deque(v for v in alive if len(adj[v]) <= 1 and v not in branch)
-    while queue:
-        v = queue.popleft()
-        if v not in alive:
-            continue
-        alive.discard(v)
-        for u in adj[v]:
-            adj[u].discard(v)
-            if u in alive and len(adj[u]) <= 1 and u not in branch:
-                queue.append(u)
-        adj[v].clear()
-    return frozenset(alive)
+    adj = t.adjacency_sets()
+    holds = [d >= 3 for d in t.degrees()]
+    for comp in t.components():
+        root = next((v for v in comp if holds[v]), None)
+        if root is not None:
+            order, parent = rooted_order(adj, root)
+            for v in reversed(order[1:]):
+                holds[parent[v]] |= holds[v]
+    return frozenset(v for v in range(t.n) if holds[v])
 
 
 def twig_sequence(f: Graph):
@@ -380,15 +402,10 @@ def tree_distance_pairs(t: Graph):
     adj = t.adjacency_sets()
     out = {}
     for src in range(t.n):
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        for v, d in dist.items():
+        order, parent = rooted_order(adj, src)
+        depth = [0] * t.n
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
             if v > src:
-                out[(src, v)] = d
+                out[(src, v)] = depth[v]
     return out

@@ -107,18 +107,14 @@ def subtree_polynomial(t: Tree) -> BivariatePolynomial:
     """
     if not isinstance(t, Tree):
         t = Tree.from_graph(t)
+    adj = t.adjacency_sets()
     counts = Counter()
     for w_set in enumerate_subtrees(t):
-        if len(w_set) == 1:
-            counts[(0, 0)] += 1
-            continue
-        inner = [(u, v) for u, v in t.edges if u in w_set and v in w_set]
-        deg = Counter()
-        for u, v in inner:
-            deg[u] += 1
-            deg[v] += 1
-        leaf_edges = sum(1 for u, v in inner if deg[u] == 1 or deg[v] == 1)
-        counts[(len(inner), leaf_edges)] += 1
+        # a subtree has |W| - 1 edges, and one leaf edge per leaf except
+        # the single edge, whose two leaves share it
+        edges = len(w_set) - 1
+        leaves = sum(1 for v in w_set if len(adj[v] & w_set) == 1)
+        counts[(edges, min(leaves, edges))] += 1
     return BivariatePolynomial(counts)
 
 

@@ -273,19 +273,12 @@ def selftest(max_n: int = 7):
         return invariants.omega_check(x, t.n) == invariants.f_polynomial_from_csf(x, t.n)
     run("omega-route", _first_failure(trees, omega_ok))
 
-    ok, cx = True, ""
-    for n in range(2, 11):
-        for i in range(1, n):
-            for k in range(1, n - i + 1):
-                a = sign_binomial_matrix(k, n, i)
-                if matrix_multiply(a, a) != identity_matrix(k):
-                    ok, cx = False, f"(k={k}, n={n}, i={i})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    run("involution", (ok, cx))
+    def involution_ok(k, n, i):
+        a = sign_binomial_matrix(k, n, i)
+        return matrix_multiply(a, a) == identity_matrix(k)
+    cx = next((f"(k={k}, n={n}, i={i})" for n in range(2, 11) for i in range(1, n)
+               for k in range(1, n - i + 1) if not involution_ok(k, n, i)), "")
+    run("involution", (not cx, cx))
 
     def stats_ok(t):
         degs, paths = stats_from_subtree_polynomial(subtree_polynomial(t), t.n)

@@ -25,6 +25,16 @@ def test_certificate_relabeling_invariance():
         assert canonical_certificate(t2) == cert
 
 
+def test_certificate_of_long_path_needs_no_recursion():
+    # deeper than the interpreter's default recursion limit
+    n = 2500
+    perm = random_permutation(random.Random(5), n)
+    path = Tree(n, [(i, i + 1) for i in range(n - 1)])
+    cert = canonical_certificate(path)
+    assert len(cert) == 2 * n
+    assert canonical_certificate(Tree.from_graph(relabel(path, perm))) == cert
+
+
 def test_certificates_separate_all_small_trees():
     for n in range(1, 10):
         certs = [canonical_certificate(t) for t in enumerate_trees(n)]

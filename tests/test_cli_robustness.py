@@ -23,6 +23,24 @@ def test_compute_csf_on_long_path_is_capacity_error(tmp_path):
     assert "capped" in out.stderr
 
 
+LARGE_TREES = {
+    "star40": "40 39\n" + "".join(f"0 {i}\n" for i in range(1, 40)),
+    "path1200": "1200 1199\n" + "".join(f"{i} {i + 1}\n" for i in range(1199)),
+}
+
+
+@pytest.mark.parametrize("what", ["invariants", "transform"])
+@pytest.mark.parametrize("name", sorted(LARGE_TREES))
+def test_tree_queries_past_their_work_caps_are_capacity_errors(tmp_path, name, what):
+    # the star has 2^39 + 39 subtrees; the path has 720,600 and a tree DP
+    # whose merges pass the work cap long before they finish
+    f = tmp_path / f"{name}.txt"
+    f.write_text(LARGE_TREES[name])
+    out = run_cli("compute", "--input", str(f), "--what", what)
+    assert out.returncode == 3, out.stderr
+    assert "capped" in out.stderr
+
+
 @pytest.mark.parametrize("max_n, code", [("0", 2), ("13", 3)])
 def test_selftest_max_n_out_of_range(max_n, code):
     out = run_cli("selftest", "--max-n", max_n)

@@ -1,9 +1,12 @@
+import inspect
 import random
-from itertools import combinations
+import sys
+from itertools import combinations, islice
 
 import pytest
 
 from csfkit import (
+    CapacityError,
     Graph,
     NotATreeError,
     Tree,
@@ -128,6 +131,41 @@ def test_subtree_enumeration_against_brute_force():
             got = set(enumerate_subtrees(t))
             assert got == brute_subtrees(t)
             assert len(got) == sum(1 for _ in enumerate_subtrees(t))  # no repeats
+
+
+def test_subtree_enumeration_against_brute_force_on_forests():
+    rng = random.Random(17)
+    for _ in range(40):
+        edges, n = [], 0
+        for size in [rng.randint(1, 5) for _ in range(rng.randint(2, 3))]:
+            edges += [(u + n, v + n) for u, v in random_tree(rng, size).edges]
+            n += size
+        perm = list(range(n))
+        rng.shuffle(perm)
+        f = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+        got = list(enumerate_subtrees(f))
+        assert len(got) == len(set(got))
+        assert set(got) == brute_subtrees(f)
+
+
+def test_subtree_walk_needs_no_recursion():
+    # a 300-vertex path nests sets 300 deep; the walk must not need that
+    # many frames
+    path = Tree(300, [(i, i + 1) for i in range(299)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        sets = list(islice(enumerate_subtrees(path), 300))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(set(sets)) == 300
+    assert all(path.induced_subgraph(w).is_connected() for w in sets)
+
+
+def test_subtree_enumeration_past_its_cap_raises_before_walking():
+    # 720,600 subtrees times 1,200 vertices passes the cap
+    with pytest.raises(CapacityError):
+        enumerate_subtrees(Tree(1200, [(i, i + 1) for i in range(1199)]))
 
 
 def test_boundary_counts_components_of_complement():
