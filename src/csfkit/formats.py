@@ -4,21 +4,21 @@ Edge-list format: first line "n m", then m lines "u v" with 0-based
 endpoints.  Blank lines are ignored; parse failures carry 1-based line
 numbers.  Loops and multi-edges are representable.
 
-graph6 is the standard compact ASCII encoding of simple graphs (optional
-">>graph6<<" header).  Emission refuses loops and multi-edges since the
-format cannot carry them.  Parsing validates length and zero padding so
-that parse/format round-trips exactly.
+graph6 is the standard compact ASCII encoding of simple graphs (a
+">>graph6<<" header is accepted on input).  Emission refuses loops and
+multi-edges since the format cannot carry them.  Parsing validates
+length and zero padding so that parse/format round-trips exactly.
 """
 
 from .errors import GraphParseError
 from .graphs import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
+MAX_ORDER = 258047  # graph6's four-character count; edge lists stop here too
 
 
 def parse_edge_list(text: str) -> Graph:
-    lines = text.splitlines()
-    rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
+    rows = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines()) if line.strip()]
     if not rows:
         raise GraphParseError("empty input")
     lineno, head = rows[0]
@@ -31,6 +31,8 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphParseError(f"non-integer header 'n m': {head!r}", line=lineno) from None
     if n < 0 or m < 0:
         raise GraphParseError(f"negative counts in header: {head!r}", line=lineno)
+    if n > MAX_ORDER:
+        raise GraphParseError(f"vertex count above {MAX_ORDER}: {head!r}", line=lineno)
     body = rows[1:]
     if len(body) != m:
         raise GraphParseError(f"header promises {m} edges, found {len(body)} edge lines",
@@ -61,9 +63,9 @@ def _g6_encode_n(n: int) -> str:
         raise ValueError("negative vertex count")
     if n <= 62:
         return chr(n + 63)
-    if n <= 258047:
+    if n <= MAX_ORDER:
         return chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    raise ValueError("graph6 support here stops at n = 258047")
+    raise ValueError(f"graph6 support here stops at n = {MAX_ORDER}")
 
 
 def _g6_decode_n(s: str):
@@ -79,7 +81,7 @@ def _g6_decode_n(s: str):
         for ch in s[1:4]:
             n = (n << 6) | (ord(ch) - 63)
         return n, 4
-    raise GraphParseError("graph6 vertex counts above 258047 are not supported")
+    raise GraphParseError(f"graph6 vertex counts above {MAX_ORDER} are not supported")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -112,7 +114,7 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def format_graph6(g: Graph, header=False) -> str:
+def format_graph6(g: Graph) -> str:
     if not g.is_simple():
         raise ValueError("graph6 cannot encode loops or multi-edges")
     n = g.n
@@ -129,8 +131,7 @@ def format_graph6(g: Graph, header=False) -> str:
         for b in bits[k:k + 6]:
             val = (val << 1) | b
         chars.append(chr(val + 63))
-    out = _g6_encode_n(n) + "".join(chars)
-    return (GRAPH6_HEADER + out) if header else out
+    return _g6_encode_n(n) + "".join(chars)
 
 
 def load_graph(text: str) -> Graph:

@@ -149,10 +149,11 @@ def f_polynomial_direct(t: Tree) -> BivariatePolynomial:
     """F_T(x,y) = sum over subtrees H of x^|H| y^d(V(H)), by enumeration."""
     if not isinstance(t, Tree):
         t = Tree.from_graph(t)
+    deg = t.degrees()
     counts = Counter()
     for w_set in enumerate_subtrees(t):
-        _, d = t.boundary_and_interior(w_set)
-        counts[(len(w_set), d)] += 1
+        # W's |W| - 1 inner edges count twice in its degree sum, the rest once
+        counts[(len(w_set), sum(deg[v] for v in w_set) - 2 * len(w_set) + 2)] += 1
     return BivariatePolynomial(counts)
 
 
@@ -172,33 +173,25 @@ def sigma(lam, i: int, j: int, n: int) -> int:
     return val if (n - j - 1) % 2 == 0 else -val
 
 
-def _poly_of(x):
-    return x.poly if isinstance(x, CsfResult) else x
-
-
-def _checked_coefficient(value, i, j):
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise ConsistencyError(
-                f"transform produced non-integral f({i},{j}) = {value}; input is not a tree CSF")
-        value = value.numerator
-    if value < 0:
-        raise ConsistencyError(
-            f"transform produced negative f({i},{j}) = {value}; input is not a tree CSF")
-    return value
-
-
-def _transform(x, n, coefficient):
-    # The shared (i, j) loop; coefficient(poly, i, j) computes one f(i, j).
-    poly = _poly_of(x)
+def _degree_n_poly(x, n):
+    # the PPolynomial of x, refused unless nonzero and homogeneous of degree n
+    poly = x.poly if isinstance(x, CsfResult) else x
     if not poly.is_homogeneous(n) or not poly:
         raise ConsistencyError(f"input is not a nonzero homogeneous CSF of degree {n}")
+    return poly
+
+
+def _f_polynomial(values):
+    # F_T from {(i, j): f(i, j)}, checked in ascending (i, j) so the first bad value is reported
     terms = {}
-    for i in range(1, n + 1):
-        for j in range(0, n - i + 1):
-            value = _checked_coefficient(coefficient(poly, i, j), i, j)
-            if value:
-                terms[(i, j)] = value
+    for (i, j), value in sorted(values.items()):
+        bad = ("non-integral" if isinstance(value, Fraction) and value.denominator != 1
+               else "negative" if value < 0 else "")
+        if bad:
+            raise ConsistencyError(
+                f"transform produced {bad} f({i},{j}) = {value}; input is not a tree CSF")
+        if value:
+            terms[(i, j)] = int(value)
     return BivariatePolynomial(terms)
 
 
@@ -207,11 +200,15 @@ def f_polynomial_from_csf(x, n: int) -> BivariatePolynomial:
 
     Accepts a CsfResult or a bare PPolynomial.  Raises ConsistencyError
     when the input is not homogeneous of degree n or when any recovered
-    coefficient is negative or non-integral.
+    coefficient is negative or non-integral.  Each term is read once, at
+    the parts i and the j in [l - 1, n - i] where sigma can be nonzero.
     """
-    def coefficient(poly, i, j):
-        return sum(sigma(lam, i, j, n) * c for lam, c in poly.terms.items())
-    return _transform(x, n, coefficient)
+    f = Counter()
+    for lam, c in _degree_n_poly(x, n).terms.items():
+        for i in set(lam):
+            for j in range(len(lam) - 1, n - i + 1):
+                f[(i, j)] += sigma(lam, i, j, n) * c
+    return _f_polynomial(f)
 
 
 @lru_cache(maxsize=4096)
@@ -230,7 +227,9 @@ def omega_check(x, n: int) -> BivariatePolynomial:
 
     Agrees with f_polynomial_from_csf exactly; same consistency errors.
     """
-    return _transform(x, n, lambda poly, i, j: _omega_piece(n, i, j).scalar_product(poly))
+    poly = _degree_n_poly(x, n)
+    return _f_polynomial({(i, j): _omega_piece(n, i, j).scalar_product(poly)
+                          for i in range(1, n + 1) for j in range(0, n - i + 1)})
 
 
 def sign_binomial_matrix(k: int, n: int, i: int):

@@ -166,14 +166,14 @@ def _counterexample(g: Graph) -> str:
 
 def _first_failure(instances, predicate):
     # instances: graphs, or tuples whose first entry is the graph to report;
-    # predicate returns True on pass
+    # predicate returns True on pass, and an exception it raises is named
     for inst in instances:
         try:
-            ok = predicate(inst)
-        except Exception:
-            ok = False
+            ok, why = predicate(inst), ""
+        except Exception as exc:
+            ok, why = False, f" ({type(exc).__name__})"
         if not ok:
-            return False, _counterexample(inst[0] if isinstance(inst, tuple) else inst)
+            return False, _counterexample(inst[0] if isinstance(inst, tuple) else inst) + why
     return True, ""
 
 

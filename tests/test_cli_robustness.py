@@ -1,6 +1,7 @@
 """Inputs that must end with an exit code, not hang, when run as a command."""
 
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,24 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args):
+def run_cli(*args, preexec_fn=None):
     return subprocess.run([sys.executable, "-m", "csfkit", *args], capture_output=True,
-                          text=True, timeout=30, env={**os.environ, "PYTHONPATH": str(SRC)})
+                          text=True, timeout=30, env={**os.environ, "PYTHONPATH": str(SRC)},
+                          preexec_fn=preexec_fn)
+
+
+def _limit_address_space():
+    # 1 GiB: a run that sizes lists by a hostile header fails with
+    # MemoryError here instead of taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_compute_on_huge_edge_list_header_is_parse_error(tmp_path):
+    f = tmp_path / "huge.txt"
+    f.write_text("1000000000 0\n")
+    out = run_cli("compute", "--input", str(f), "--what", "csf", preexec_fn=_limit_address_space)
+    assert out.returncode == 2, out.stderr
+    assert "258047" in out.stderr
 
 
 def test_compute_csf_on_long_path_is_capacity_error(tmp_path):

@@ -37,6 +37,12 @@ def test_parse_edge_list_errors_carry_line_numbers():
         parse_edge_list("2 2\n0 1\n")  # declared m does not match
 
 
+def test_edge_list_order_is_capped_at_the_graph6_limit():
+    assert parse_edge_list("258047 0").n == 258047
+    with pytest.raises(GraphParseError, match="line 1"):
+        parse_edge_list("258048 0")
+
+
 def test_edge_list_round_trip():
     rng = random.Random(5)
     for _ in range(30):

@@ -100,6 +100,47 @@ def test_transform_matches_direct():
             assert f_polynomial_from_csf(csf_tree(t), t.n) == f_polynomial_direct(t)
 
 
+def test_transform_matches_direct_on_larger_trees():
+    # paths and random trees past the all-trees orders above
+    for n in range(20, 25):
+        path = Tree(n, [(v, v + 1) for v in range(n - 1)])
+        assert f_polynomial_from_csf(csf_tree(path), n) == f_polynomial_direct(path)
+    rng = random.Random(23)
+    for _ in range(60):
+        t = random_tree(rng, rng.randint(10, 18))
+        assert f_polynomial_from_csf(csf_tree(t), t.n) == f_polynomial_direct(t)
+
+
+def _error_text(route, x, n):
+    try:
+        route(x, n)
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def test_both_routes_report_the_same_first_bad_coefficient():
+    # random homogeneous inputs that are not tree CSFs, with negative and
+    # fractional coefficients: the term walk and the Omega grid name the
+    # same (i, j) first
+    from csfkit.partitions import partitions
+    rng = random.Random(31)
+    raised = 0
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        parts = list(partitions(n))
+        x = PPolynomial({lam: Fraction(rng.randint(-5, 8), rng.choice((1, 1, 2, 3)))
+                         for lam in rng.sample(parts, rng.randint(1, len(parts)))})
+        if not x:
+            continue
+        text = _error_text(f_polynomial_from_csf, x, n)
+        assert text == _error_text(omega_check, x, n)
+        if text is None:
+            assert f_polynomial_from_csf(x, n) == omega_check(x, n)
+        raised += text is not None
+    assert raised > 100
+
+
 def test_transform_accepts_bare_polynomial():
     x = csf_tree(P4)
     assert f_polynomial_from_csf(x.poly, 4) == f_polynomial_direct(P4)

@@ -175,9 +175,11 @@ def test_selftest_detects_injected_fault(monkeypatch):
     by_name = {name: (passed, cx) for name, passed, cx in results}
     passed, cx = by_name["sigma-vs-direct"]
     assert not passed
-    assert cx  # names a counterexample graph
-    g = parse_graph6(cx)
-    assert g.n >= 1
+    # names a counterexample graph, and the ConsistencyError the negated
+    # coefficient raised on it
+    graph6, _, why = cx.partition(" ")
+    assert why == "(ConsistencyError)"
+    assert parse_graph6(graph6).n >= 1
 
 
 def test_verify_distinct_reports_colliding_trees(monkeypatch):
@@ -220,8 +222,18 @@ def test_selftest_reports_corollary_failure(monkeypatch):
     assert not ok
     assert [name for name, _, _ in results][5] == "corollary-difference"
     cx = _failures(results)["corollary-difference"]
-    assert cx == "Cp"
-    assert parse_graph6(cx) == Graph(4, [(0, 1), (0, 2), (2, 3)])
+    assert cx == "Cp (RuntimeError)"
+    assert parse_graph6("Cp") == Graph(4, [(0, 1), (0, 2), (2, 3)])
+
+
+def test_selftest_names_the_exception_a_check_raised(monkeypatch):
+    def broken(x, k):
+        raise ZeroDivisionError("injected")
+    monkeypatch.setattr(verify_module, "level_sum", broken)
+    ok, results = selftest(max_n=4)
+    assert not ok
+    # the first forest instance is the one-vertex tree, graph6 "@"
+    assert _failures(results) == {"level-sums": "@ (ZeroDivisionError)"}
 
 
 def test_compute_report_csf():
