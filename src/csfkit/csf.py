@@ -13,7 +13,8 @@ Three independent routes compute the same object:
 csf_tree is a fourth, tree-only route: a rooted component-splitting DP
 that is far faster than the 2^|E| expansion and makes the exhaustive
 distinctness verification tractable on one core.  It is cross-checked
-against csf_power_sum in the tests.
+against csf_power_sum in the tests.  csf_graph picks between the tree DP
+and the subset expansion for an arbitrary multigraph.
 
 Subset-expansion strategy (documented choice): a depth-first include /
 exclude walk over edge indices carrying an incremental union-find with
@@ -39,6 +40,7 @@ from .psym import ONE, PPolynomial, p_of_partition
 SUBSET_LEAF_CAP = 1 << 22
 SUBSET_DEPTH_CAP = 500
 TREE_DP_WORK_CAP = 1 << 20
+FOREST_WORK_CAP = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -224,6 +226,41 @@ def csf_tree(t: Graph) -> CsfResult:
     terms = {lam: (c if (n - len(lam)) % 2 == 0 else -c)
              for lam, c in _tree_partition_counts(t).items()}
     return CsfResult(PPolynomial(terms), n)
+
+
+def csf_graph(g: Graph):
+    """(X_G, route name) by the cheapest exact route.
+
+    A loop leaves no proper colouring, so X_G is zero ("loop").  Parallel
+    edges force the same inequality and collapse to one.  A forest is the
+    product of its trees' CSFs by the tree DP ("tree-dp"), the isolated
+    vertices giving one factor p_(1^k); each product counts its term pairs
+    times the order of the result, a bound on the parts each pair sorts,
+    and stops once the count passes FOREST_WORK_CAP.  Any other graph
+    takes the subset expansion over the collapsed edges ("subset-expansion").
+    """
+    if g.has_loop():
+        return CsfResult(PPolynomial(), g.n), "loop"
+    simple = Graph(g.n, dict.fromkeys((min(e), max(e)) for e in g.edges))
+    comps = simple.components()
+    if len(simple.edges) + len(comps) != g.n:
+        return csf_power_sum(simple), "subset-expansion"
+    place = {v: (c, i) for c, comp in enumerate(comps) for i, v in enumerate(sorted(comp))}
+    edges = [[] for _ in comps]
+    for u, v in simple.edges:
+        (c, i), (_, j) = place[u], place[v]
+        edges[c].append((i, j))
+    order = sum(len(comp) == 1 for comp in comps)
+    poly, work = p_of_partition((1,) * order), 0
+    for comp, es in zip(comps, edges):
+        if es:
+            x = csf_tree(Tree(len(comp), es)).poly
+            order += len(comp)
+            work += len(poly) * len(x) * order
+            if work > FOREST_WORK_CAP:
+                raise CapacityError(f"forest product capped at {FOREST_WORK_CAP} pairs x order")
+            poly = poly * x
+    return CsfResult(poly, g.n), "tree-dp"
 
 
 def level_sum(x: CsfResult, k: int):

@@ -25,6 +25,7 @@ from .csf import (
     corollary_difference,
     csf_deletion_contraction,
     csf_forest,
+    csf_graph,
     csf_power_sum,
     csf_tree,
     csf_weighted,
@@ -308,7 +309,7 @@ def compute_report(g: Graph, what: str) -> dict:
         raise ValueError(f"unknown computation: {what!r}")
     doc = {"what": what, "n": g.n, "edge_count": len(g.edges)}
     if what == "csf":
-        result = csf_power_sum(g)
+        result, doc["route"] = csf_graph(g)
         ser = result.poly.serialize()
         doc["source_order"] = result.source_order
         doc["csf"] = ser

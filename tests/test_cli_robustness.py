@@ -1,5 +1,6 @@
 """Inputs that must end with an exit code, not hang, when run as a command."""
 
+import json
 import os
 import resource
 import subprocess
@@ -31,18 +32,35 @@ def test_compute_on_huge_edge_list_header_is_parse_error(tmp_path):
     assert "258047" in out.stderr
 
 
-def test_compute_csf_on_long_path_is_capacity_error(tmp_path):
-    f = tmp_path / "path40.txt"
-    f.write_text("40 39\n" + "".join(f"{i} {i + 1}\n" for i in range(39)))
-    out = run_cli("compute", "--input", str(f), "--what", "csf")
-    assert out.returncode == 3, out.stderr
-    assert "capped" in out.stderr
+def _path(n):
+    return f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
 
 
 LARGE_TREES = {
     "star40": "40 39\n" + "".join(f"0 {i}\n" for i in range(1, 40)),
-    "path1200": "1200 1199\n" + "".join(f"{i} {i + 1}\n" for i in range(1199)),
+    "path1200": _path(1200),
 }
+SPARSE_GRAPHS = {**LARGE_TREES, "path40": _path(40),
+                 "cycle40": "40 40\n0 39\n" + _path(40).split("\n", 1)[1]}
+
+
+@pytest.mark.parametrize("name, code, expect", [
+    pytest.param("path40", 0, 37338, id="path40"),
+    pytest.param("star40", 0, 40, id="star40"),
+    # a tree: the DP's merge cap stops it
+    pytest.param("path1200", 3, "tree DP capped", id="path1200"),
+    # a cycle: 2^40 - 40 acyclic subsets, refused before the walk
+    pytest.param("cycle40", 3, "subset expansion capped", id="cycle40"),
+])
+def test_compute_csf_on_large_sparse_graph_ends(tmp_path, name, code, expect):
+    f = tmp_path / f"{name}.txt"
+    f.write_text(SPARSE_GRAPHS[name])
+    out = run_cli("compute", "--input", str(f), "--what", "csf")
+    assert out.returncode == code, out.stderr
+    if code == 0:
+        assert json.loads(out.stdout)["term_count"] == expect
+    else:
+        assert expect in out.stderr
 
 
 @pytest.mark.parametrize("what", ["invariants", "transform"])

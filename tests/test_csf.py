@@ -13,6 +13,7 @@ from csfkit import (
     corollary_difference,
     csf_deletion_contraction,
     csf_forest,
+    csf_graph,
     csf_power_sum,
     csf_tree,
     csf_weighted,
@@ -20,6 +21,7 @@ from csfkit import (
     forest_level_value,
     inclusion_exclusion_rhs,
     level_sum,
+    p_of_partition,
     subtree_derivative,
 )
 from csfkit.csf import _tree_partition_counts
@@ -247,6 +249,29 @@ def test_subset_cap_bounds_acyclic_subsets():
     # the walk recurses once per edge
     with pytest.raises(CapacityError):
         csf_power_sum(Graph(2, [(0, 1)] * 501))
+
+
+def test_graph_route_decides_a_loop_at_once():
+    # 600 edges pass the subset walk's depth cap; the loop alone gives X = 0
+    res, route = csf_graph(Graph(600, [(i, i + 1) for i in range(599)] + [(7, 7)]))
+    assert route == "loop"
+    assert res.poly == PPolynomial() and res.source_order == 600
+
+
+def test_graph_route_collapses_parallel_edges():
+    res, route = csf_graph(Graph(2, [(1, 0)] * 1200))
+    assert route == "tree-dp"
+    assert res.poly == poly({(1, 1): 1, (2,): -1})
+
+
+def test_graph_route_bounds_the_forest_product():
+    # a 1,000-edge matching: the product grows to 1,001 terms of up to
+    # 2,000 parts, and is refused part way
+    with pytest.raises(CapacityError, match="forest product"):
+        csf_graph(Graph(2000, [(2 * i, 2 * i + 1) for i in range(1000)]))
+    # isolated vertices are one factor, not one product each
+    res, route = csf_graph(Graph(5000))
+    assert route == "tree-dp" and res.poly == p_of_partition((1,) * 5000)
 
 
 def test_deletion_contraction_weighted_hand():

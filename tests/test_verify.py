@@ -1,8 +1,10 @@
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from csfkit import (
     Tree,
     compute_report,
     csf_hash,
+    csf_power_sum,
     find_collisions,
     parse_graph6,
     selftest,
@@ -27,6 +30,7 @@ from csfkit import verify as verify_module
 from csfkit.cli import main
 from csfkit.csf import CsfResult
 from csfkit.psym import PPolynomial
+from helpers import random_permutation, random_tree, relabel
 
 TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47)
 
@@ -242,6 +246,52 @@ def test_compute_report_csf():
     assert doc["csf"] == "2/1 : 3\n-3/1 : 2,1\n1/1 : 1,1,1"
     assert doc["csf_hash"] == csf_hash(doc["csf"])
     assert doc["term_count"] == 3
+
+
+def test_compute_report_names_its_csf_route():
+    cases = [
+        (Graph(4, [(2, 0), (3, 2), (1, 3)]), "tree-dp"),  # a relabelled path
+        (Graph(6, [(4, 1), (0, 2), (2, 5)]), "tree-dp"),  # a forest with an isolated vertex
+        (Graph(3, [(0, 1), (1, 2), (2, 0), (1, 0)]), "subset-expansion"),
+        (Graph(3, [(0, 1), (2, 2)]), "loop"),
+    ]
+    for g, route in cases:
+        doc = compute_report(g, "csf")
+        assert doc["route"] == route
+        assert doc["csf"] == csf_power_sum(g).poly.serialize()
+
+
+def _shuffled(rng, g):
+    edges = list(relabel(g, random_permutation(rng, g.n)).edges)
+    rng.shuffle(edges)
+    return Graph(g.n, edges)
+
+
+def test_compute_csf_matches_subset_expansion_on_every_route():
+    # the subset expansion on the graph exactly as given is the independent
+    # check of every route compute --what csf picks
+    rng = random.Random(77)
+    graphs = [_shuffled(rng, random_tree(rng, rng.randint(1, 14))) for _ in range(200)]
+    for _ in range(60):
+        t = random_tree(rng, rng.randint(1, 14))
+        graphs.append(_shuffled(rng, Graph(t.n, [e for e in t.edges if rng.random() < 0.7])))
+    for k in range(200):
+        # a tree plus chords and parallel copies, and a loop in one of three
+        t = random_tree(rng, rng.randint(2, 9))
+        edges = list(t.edges) + [rng.sample(range(t.n), 2) for _ in range(rng.randint(0, 3))]
+        edges += [rng.choice(edges) for _ in range(rng.randint(1, 3))]
+        if k % 3 == 0:
+            edges.append((rng.randrange(t.n),) * 2)
+        graphs.append(_shuffled(rng, Graph(t.n, edges)))
+    routes = Counter()
+    for g in graphs:
+        doc = compute_report(g, "csf")
+        ref = csf_power_sum(g)
+        ser = ref.poly.serialize()
+        assert (doc["csf"], doc["csf_hash"], doc["term_count"], doc["source_order"]) == (
+            ser, csf_hash(ser), len(ref.poly), ref.source_order), g
+        routes[doc["route"]] += 1
+    assert set(routes) == {"tree-dp", "subset-expansion", "loop"}
 
 
 def test_compute_report_invariants_and_transform():
