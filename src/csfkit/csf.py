@@ -40,7 +40,7 @@ from .psym import ONE, PPolynomial, p_of_partition
 SUBSET_LEAF_CAP = 1 << 22
 SUBSET_DEPTH_CAP = 500
 TREE_DP_WORK_CAP = 1 << 20
-FOREST_WORK_CAP = 1 << 26
+TREE_ROUTE_ORDER_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -232,35 +232,20 @@ def csf_graph(g: Graph):
     """(X_G, route name) by the cheapest exact route.
 
     A loop leaves no proper colouring, so X_G is zero ("loop").  Parallel
-    edges force the same inequality and collapse to one.  A forest is the
-    product of its trees' CSFs by the tree DP ("tree-dp"), the isolated
-    vertices giving one factor p_(1^k); each product counts its term pairs
-    times the order of the result, a bound on the parts each pair sorts,
-    and stops once the count passes FOREST_WORK_CAP.  Any other graph
-    takes the subset expansion over the collapsed edges ("subset-expansion").
+    edges force the same inequality and collapse to one.  A tree takes the
+    tree DP ("tree-dp"); any other graph, a forest too, takes the subset
+    expansion over the collapsed edges ("subset-expansion").  The DP's
+    pair cap does not weigh the parts each pair sorts, so a tree of more
+    than TREE_ROUTE_ORDER_CAP vertices is refused before the DP runs.
     """
     if g.has_loop():
         return CsfResult(PPolynomial(), g.n), "loop"
     simple = Graph(g.n, dict.fromkeys((min(e), max(e)) for e in g.edges))
-    comps = simple.components()
-    if len(simple.edges) + len(comps) != g.n:
+    if len(simple.edges) != g.n - 1 or not simple.is_connected():
         return csf_power_sum(simple), "subset-expansion"
-    place = {v: (c, i) for c, comp in enumerate(comps) for i, v in enumerate(sorted(comp))}
-    edges = [[] for _ in comps]
-    for u, v in simple.edges:
-        (c, i), (_, j) = place[u], place[v]
-        edges[c].append((i, j))
-    order = sum(len(comp) == 1 for comp in comps)
-    poly, work = p_of_partition((1,) * order), 0
-    for comp, es in zip(comps, edges):
-        if es:
-            x = csf_tree(Tree(len(comp), es)).poly
-            order += len(comp)
-            work += len(poly) * len(x) * order
-            if work > FOREST_WORK_CAP:
-                raise CapacityError(f"forest product capped at {FOREST_WORK_CAP} pairs x order")
-            poly = poly * x
-    return CsfResult(poly, g.n), "tree-dp"
+    if g.n > TREE_ROUTE_ORDER_CAP:
+        raise CapacityError(f"tree route capped at {TREE_ROUTE_ORDER_CAP} vertices, got {g.n}")
+    return csf_tree(Tree.from_graph(simple)), "tree-dp"
 
 
 def level_sum(x: CsfResult, k: int):

@@ -40,15 +40,19 @@ LARGE_TREES = {
     "star40": "40 39\n" + "".join(f"0 {i}\n" for i in range(1, 40)),
     "path1200": _path(1200),
 }
-SPARSE_GRAPHS = {**LARGE_TREES, "path40": _path(40),
+SPARSE_GRAPHS = {**LARGE_TREES, "path40": _path(40), "path64": _path(64),
+                 "star1000": "1000 999\n" + "".join(f"0 {i}\n" for i in range(1, 1000)),
                  "cycle40": "40 40\n0 39\n" + _path(40).split("\n", 1)[1]}
 
 
 @pytest.mark.parametrize("name, code, expect", [
     pytest.param("path40", 0, 37338, id="path40"),
     pytest.param("star40", 0, 40, id="star40"),
-    # a tree: the DP's merge cap stops it
-    pytest.param("path1200", 3, "tree DP capped", id="path1200"),
+    # a tree of 64 vertices: the DP's merge cap stops it
+    pytest.param("path64", 3, "tree DP capped", id="path64"),
+    # larger trees are refused before the DP runs
+    pytest.param("path1200", 3, "tree route capped", id="path1200"),
+    pytest.param("star1000", 3, "tree route capped", id="star1000"),
     # a cycle: 2^40 - 40 acyclic subsets, refused before the walk
     pytest.param("cycle40", 3, "subset expansion capped", id="cycle40"),
 ])

@@ -21,7 +21,6 @@ from csfkit import (
     forest_level_value,
     inclusion_exclusion_rhs,
     level_sum,
-    p_of_partition,
     subtree_derivative,
 )
 from csfkit.csf import _tree_partition_counts
@@ -264,14 +263,13 @@ def test_graph_route_collapses_parallel_edges():
     assert res.poly == poly({(1, 1): 1, (2,): -1})
 
 
-def test_graph_route_bounds_the_forest_product():
-    # a 1,000-edge matching: the product grows to 1,001 terms of up to
-    # 2,000 parts, and is refused part way
-    with pytest.raises(CapacityError, match="forest product"):
-        csf_graph(Graph(2000, [(2 * i, 2 * i + 1) for i in range(1000)]))
-    # isolated vertices are one factor, not one product each
-    res, route = csf_graph(Graph(5000))
-    assert route == "tree-dp" and res.poly == p_of_partition((1,) * 5000)
+def test_graph_route_refuses_large_trees_before_the_dp():
+    # a 1,000-vertex star finishes under the DP's pair cap, but only after
+    # some 15 s of sorting long partitions; the route refuses it at once
+    with pytest.raises(CapacityError, match="tree route capped at 64"):
+        csf_graph(Graph(1000, [(0, i) for i in range(1, 1000)]))
+    res, route = csf_graph(Graph(64, [(0, i) for i in range(1, 64)]))
+    assert route == "tree-dp" and len(res.poly) == 64
 
 
 def test_deletion_contraction_weighted_hand():

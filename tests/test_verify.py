@@ -251,7 +251,7 @@ def test_compute_report_csf():
 def test_compute_report_names_its_csf_route():
     cases = [
         (Graph(4, [(2, 0), (3, 2), (1, 3)]), "tree-dp"),  # a relabelled path
-        (Graph(6, [(4, 1), (0, 2), (2, 5)]), "tree-dp"),  # a forest with an isolated vertex
+        (Graph(6, [(4, 1), (0, 2), (2, 5)]), "subset-expansion"),  # a forest
         (Graph(3, [(0, 1), (1, 2), (2, 0), (1, 0)]), "subset-expansion"),
         (Graph(3, [(0, 1), (2, 2)]), "loop"),
     ]
