@@ -13,8 +13,8 @@ Three independent routes compute the same object:
 csf_tree is a fourth, tree-only route: a rooted component-splitting DP
 that is far faster than the 2^|E| expansion and makes the exhaustive
 distinctness verification tractable on one core.  It is cross-checked
-against csf_power_sum in the tests.  csf_graph picks between the tree DP
-and the subset expansion for an arbitrary multigraph.
+against csf_power_sum in the tests, and capped by its merge work.
+csf_graph picks the tree DP or the subset expansion for a multigraph.
 
 Subset-expansion strategy (documented choice): a depth-first include /
 exclude walk over edge indices carrying an incremental union-find with
@@ -39,8 +39,7 @@ from .psym import ONE, PPolynomial, p_of_partition
 
 SUBSET_LEAF_CAP = 1 << 22
 SUBSET_DEPTH_CAP = 500
-TREE_DP_WORK_CAP = 1 << 20
-TREE_ROUTE_ORDER_CAP = 64
+TREE_DP_WORK_CAP = 40_000_000
 
 
 @dataclass(frozen=True)
@@ -186,21 +185,23 @@ def _tree_partition_counts(t: Graph):
     component containing the vertex, partition of completed component
     sizes) to the number of edge subsets realizing it.  A child edge is
     either cut (the child's open component closes) or kept (open sizes
-    add).  Linear passes over the state dicts replace the exponential
-    subset walk; signs are recovered at the end from the part count,
-    since |A| = n - l(pi(A)).  Raises CapacityError once the merges have
-    paired more than TREE_DP_WORK_CAP states.
+    add); signs follow from the part count, since |A| = n - l(pi(A)).
+    A merge costs its state pairs x merged subtree order (the parts each
+    pair sorts); CapacityError once the sum passes TREE_DP_WORK_CAP.
     """
     order, parent = rooted_order(t.adjacency_sets(), 0)
     # reversed preorder merges each complete child state into its parent's
     state = [{(1, ()): 1} for _ in order]
+    size = [1] * len(order)
     work = 0
     for v in reversed(order[1:]):
-        sv, su = state[parent[v]], state[v]
+        p = parent[v]
+        sv, su = state[p], state[v]
         state[v] = None
-        work += len(sv) * len(su)
+        size[p] += size[v]
+        work += len(sv) * len(su) * size[p]
         if work > TREE_DP_WORK_CAP:
-            raise CapacityError(f"tree DP capped at {TREE_DP_WORK_CAP} state pairs merged")
+            raise CapacityError(f"tree DP capped at {TREE_DP_WORK_CAP} state pairs x merged order")
         nxt = {}
         get = nxt.get
         for (s1, mu1), c1 in sv.items():
@@ -210,7 +211,7 @@ def _tree_partition_counts(t: Graph):
                 keep = (s1 + s2, tuple(sorted(mu1 + mu2, reverse=True)))
                 nxt[cut] = get(cut, 0) + cc
                 nxt[keep] = get(keep, 0) + cc
-        state[parent[v]] = nxt
+        state[p] = nxt
     counts = {}
     for (s, mu), c in state[0].items():
         lam = tuple(sorted(mu + (s,), reverse=True))
@@ -234,17 +235,13 @@ def csf_graph(g: Graph):
     A loop leaves no proper colouring, so X_G is zero ("loop").  Parallel
     edges force the same inequality and collapse to one.  A tree takes the
     tree DP ("tree-dp"); any other graph, a forest too, takes the subset
-    expansion over the collapsed edges ("subset-expansion").  The DP's
-    pair cap does not weigh the parts each pair sorts, so a tree of more
-    than TREE_ROUTE_ORDER_CAP vertices is refused before the DP runs.
+    expansion over the collapsed edges ("subset-expansion").
     """
     if g.has_loop():
         return CsfResult(PPolynomial(), g.n), "loop"
     simple = Graph(g.n, dict.fromkeys((min(e), max(e)) for e in g.edges))
     if len(simple.edges) != g.n - 1 or not simple.is_connected():
         return csf_power_sum(simple), "subset-expansion"
-    if g.n > TREE_ROUTE_ORDER_CAP:
-        raise CapacityError(f"tree route capped at {TREE_ROUTE_ORDER_CAP} vertices, got {g.n}")
     return csf_tree(Tree.from_graph(simple)), "tree-dp"
 
 

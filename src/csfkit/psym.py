@@ -54,6 +54,9 @@ class PPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("PPolynomial is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild via the constructor, not __setattr__
+        return (PPolynomial, (dict(self._terms),))
+
     @property
     def terms(self):
         """Read-only view of the term map."""

@@ -5,9 +5,12 @@ import os
 import resource
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
+
+from csfkit.psym import PPolynomial
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -36,23 +39,31 @@ def _path(n):
     return f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
 
 
-LARGE_TREES = {
-    "star40": "40 39\n" + "".join(f"0 {i}\n" for i in range(1, 40)),
-    "path1200": _path(1200),
-}
-SPARSE_GRAPHS = {**LARGE_TREES, "path40": _path(40), "path64": _path(64),
-                 "star1000": "1000 999\n" + "".join(f"0 {i}\n" for i in range(1, 1000)),
-                 "cycle40": "40 40\n0 39\n" + _path(40).split("\n", 1)[1]}
+def _star(n):
+    return f"{n} {n - 1}\n" + "".join(f"0 {i}\n" for i in range(1, n))
+
+
+def _broom(handle, leaves):
+    # a path of `handle` vertices whose last vertex carries `leaves` leaves
+    body = _path(handle).split("\n", 1)[1]
+    n = handle + leaves
+    return f"{n} {n - 1}\n" + body + "".join(f"{handle - 1} {handle + j}\n" for j in range(leaves))
+
+
+LARGE_TREES = {"star40": _star(40), "path1200": _path(1200)}
+BUSHY_TREES = {"star1500": _star(1500), "broom501": _broom(50, 451)}
+SPARSE_GRAPHS = {**LARGE_TREES, "path40": _path(40), "path41": _path(41), "path64": _path(64),
+                 "star1000": _star(1000), "cycle40": "40 40\n0 39\n" + _path(40).split("\n", 1)[1]}
 
 
 @pytest.mark.parametrize("name, code, expect", [
     pytest.param("path40", 0, 37338, id="path40"),
+    pytest.param("path41", 0, 44583, id="path41"),
     pytest.param("star40", 0, 40, id="star40"),
-    # a tree of 64 vertices: the DP's merge cap stops it
+    # the DP's merge work (state pairs x merged order) passes its cap
     pytest.param("path64", 3, "tree DP capped", id="path64"),
-    # larger trees are refused before the DP runs
-    pytest.param("path1200", 3, "tree route capped", id="path1200"),
-    pytest.param("star1000", 3, "tree route capped", id="star1000"),
+    pytest.param("path1200", 3, "tree DP capped", id="path1200"),
+    pytest.param("star1000", 3, "tree DP capped", id="star1000"),
     # a cycle: 2^40 - 40 acyclic subsets, refused before the walk
     pytest.param("cycle40", 3, "subset expansion capped", id="cycle40"),
 ])
@@ -77,6 +88,31 @@ def test_tree_queries_past_their_work_caps_are_capacity_errors(tmp_path, name, w
     out = run_cli("compute", "--input", str(f), "--what", what)
     assert out.returncode == 3, out.stderr
     assert "capped" in out.stderr
+
+
+def test_compute_csf_on_star300_matches_closed_form(tmp_path):
+    # X = sum over k of (-1)^k C(299, k) p_(k+1, 1^(299-k))
+    f = tmp_path / "star300.txt"
+    f.write_text(_star(300))
+    out = run_cli("compute", "--input", str(f), "--what", "csf")
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    expect = PPolynomial({(k + 1,) + (1,) * (299 - k): (-1) ** k * comb(299, k)
+                          for k in range(300)})
+    assert doc["route"] == "tree-dp" and doc["term_count"] == 300
+    assert PPolynomial.deserialize(doc["csf"]) == expect
+
+
+@pytest.mark.parametrize("what", ["csf", "transform"])
+@pytest.mark.parametrize("name", sorted(BUSHY_TREES))
+def test_bushy_trees_stop_on_the_tree_dp_cap(tmp_path, name, what):
+    # few states but long partitions: each merged pair sorts up to n parts,
+    # which the DP's cap counts, so both queries stop in about 2 s
+    f = tmp_path / f"{name}.txt"
+    f.write_text(BUSHY_TREES[name])
+    out = run_cli("compute", "--input", str(f), "--what", what)
+    assert out.returncode == 3, out.stderr
+    assert "tree DP capped" in out.stderr
 
 
 @pytest.mark.parametrize("max_n, code", [("0", 2), ("13", 3)])

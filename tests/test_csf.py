@@ -263,10 +263,10 @@ def test_graph_route_collapses_parallel_edges():
     assert res.poly == poly({(1, 1): 1, (2,): -1})
 
 
-def test_graph_route_refuses_large_trees_before_the_dp():
-    # a 1,000-vertex star finishes under the DP's pair cap, but only after
-    # some 15 s of sorting long partitions; the route refuses it at once
-    with pytest.raises(CapacityError, match="tree route capped at 64"):
+def test_graph_route_stops_large_trees_on_the_dp_cap():
+    # a 1,000-vertex star has few DP states, but each merged pair sorts up
+    # to 1,000 parts; the cap counts those parts and stops it in about 2 s
+    with pytest.raises(CapacityError, match="tree DP capped"):
         csf_graph(Graph(1000, [(0, i) for i in range(1, 1000)]))
     res, route = csf_graph(Graph(64, [(0, i) for i in range(1, 64)]))
     assert route == "tree-dp" and len(res.poly) == 64

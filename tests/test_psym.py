@@ -1,9 +1,13 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csfkit.csf import csf_tree
+from csfkit.graphs import Graph
 from csfkit.partitions import partitions, z_of
 from csfkit.psym import ONE, ZERO, PPolynomial, p_of_partition
 
@@ -119,6 +123,16 @@ def test_immutability():
         a._terms = {}
     with pytest.raises(TypeError):
         a.terms[(3,)] = 5  # terms is a read-only view
+
+
+@pytest.mark.parametrize("value", [
+    poly({(2, 1): Fraction(-3, 4), (3,): 2, (): Fraction(1, 6)}),
+    ZERO,
+    csf_tree(Graph(4, [(0, 1), (1, 2), (1, 3)])),
+], ids=["fractions", "zero", "csf-result"])
+def test_pickle_and_copy_round_trip(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert twin == value and type(twin) is type(value)
 
 
 @settings(max_examples=120, deadline=None)
