@@ -2,6 +2,14 @@
 degree polynomial F_T(x,y), and the sigma-transform that recovers F_T
 from the power-sum coefficients of X_T.
 
+S_T and F_T both sum over the subtrees of T, and each has two routes.
+subtree_polynomial_dp and f_polynomial_dp count subtrees by their top
+vertex in one rooted DP (_connected_sets_by_top), in time polynomial in
+n and bounded by TREE_INVARIANT_WORK_CAP; compute uses them.
+subtree_polynomial and f_polynomial_direct enumerate the subtrees one
+by one, which is exponential on bushy trees; they are the oracles the
+DPs are checked against.
+
 The transform is the computational heart: with c_lambda the p-basis
 coefficients of X_T,
 
@@ -11,28 +19,33 @@ coefficients of X_T,
 where l = l(lambda), m_i counts parts of size i, and out-of-range
 binomials are 0.  omega_check computes the same coefficients as scalar
 products against the graded pieces of Omega_n; sign_binomial_matrix is
-the involution A with A^2 = I underlying the inversion.
+the involution A with A^2 = I underlying the inversion.  Since sigma
+depends on lambda only through l and m_i, f_polynomial_from_csf first
+sums m_i(lambda) c_lambda over the terms of each length l, and applies
+the binomial once per (l, i, j).
 
 Degree extraction from S_T is valid for degrees >= 2 only: the identity
 sum over k >= i of C(k,i)(-1)^(i+k) s_T(k,k) counts the vertices of
 degree i through star subtrees K_{1,k} centered at each vertex, but a
 single edge is one subtree with two centers, so s_T(1,1) = |E| is half
 of what the i = 1 instance needs.  d_1 is recovered by complement, and
-the i = 1 case is deliberately not computed from the formula.
+the i = 1 case is deliberately not computed from the formula.  For
+i >= 2 the sums are the coefficients of P(y - 1), where
+P(x) = sum over k of s_T(k,k) x^k, so they are read off a Taylor shift.
 """
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .csf import CsfResult
 from .errors import CapacityError, ConsistencyError
-from .graphs import Graph, Tree, enumerate_subtrees
+from .graphs import Graph, Tree, enumerate_subtrees, rooted_order
 from .partitions import partitions, z_of
 from .psym import PPolynomial
 
 GENERALIZED_DEGREE_CAP = 24
+TREE_INVARIANT_WORK_CAP = 500_000
 
 
 class BivariatePolynomial:
@@ -128,9 +141,14 @@ def stats_from_subtree_polynomial(s: BivariatePolynomial, n: int):
     trimmed from both sequences.
     """
     degs = [0] * max(n - 1, 0)
+    # P(x) = sum of s(k,k) x^k, shifted to P(y - 1) by repeated subtraction;
+    # its y^i coefficient is sum over k >= i of C(k,i) (-1)^(i+k) s(k,k)
+    shifted = [s.coefficient(k, k) for k in range(n)]
+    for i in range(n - 1):
+        for k in range(n - 2, i - 1, -1):
+            shifted[k] -= shifted[k + 1]
     for i in range(2, n):
-        degs[i - 1] = sum(comb(k, i) * (-1) ** (i + k) * s.coefficient(k, k)
-                          for k in range(i, n))
+        degs[i - 1] = shifted[i]
     if n >= 2:
         degs[0] = n - sum(degs)
     paths = [0] * max(n - 1, 0)
@@ -157,20 +175,91 @@ def f_polynomial_direct(t: Tree) -> BivariatePolynomial:
     return BivariatePolynomial(counts)
 
 
+def _connected_sets_by_top(t: Tree, seed, join) -> Counter:
+    """{key: count} over the connected vertex sets W of a tree.
+
+    Rooted at vertex 0, each W has one top vertex, the one nearest the
+    root.  state[v] counts the keys of the sets with top v inside v's
+    subtree: it starts as {seed(v): 1}, and each child c either stays out
+    or brings one of its own sets, a key pair (a, b) becoming join(a, b).
+    The reversed preorder completes every child before it joins.  Each
+    join multiplies the parent's state size by the child's; the sum of
+    these state pairs passing TREE_INVARIANT_WORK_CAP raises CapacityError.
+    """
+    if not isinstance(t, Tree):
+        t = Tree.from_graph(t)
+    order, parent = rooted_order(t.adjacency_sets(), 0)
+    state = [{seed(v): 1} for v in range(t.n)]
+    counts = Counter()
+    work = 0
+    for v in reversed(order):
+        sv = state[v]
+        state[v] = None
+        counts.update(sv)
+        p = parent[v]
+        if p < 0:
+            break
+        su = state[p]
+        work += len(su) * len(sv)
+        if work > TREE_INVARIANT_WORK_CAP:
+            raise CapacityError(
+                f"tree invariant DP capped at {TREE_INVARIANT_WORK_CAP} state pairs")
+        nxt = dict(su)
+        get = nxt.get
+        for a, c1 in su.items():
+            for b, c2 in sv.items():
+                key = join(a, b)
+                nxt[key] = get(key, 0) + c1 * c2
+        state[p] = nxt
+    return counts
+
+
+def subtree_polynomial_dp(t: Tree) -> BivariatePolynomial:
+    """S_T(q,r) by the rooted DP; equals subtree_polynomial.
+
+    A set's key is (edges, leaves other than the top, min(children of
+    the top, 2)).  A child that brings no children of its own is a leaf,
+    and the top is one when it has exactly one child.
+    """
+    def join(a, b):
+        return a[0] + b[0] + 1, a[1] + (b[1] if b[2] else 1), 2 if a[2] else 1
+
+    counts = Counter()
+    for (edges, leaves, kids), c in _connected_sets_by_top(t, lambda v: (0, 0, 0), join).items():
+        counts[(edges, min(leaves + (kids == 1), edges))] += c
+    return BivariatePolynomial(counts)
+
+
+def f_polynomial_dp(t: Tree) -> BivariatePolynomial:
+    """F_T(x,y) by the rooted DP; equals f_polynomial_direct.
+
+    A set's key is (|W|, sum over W of (deg v - 2)), which is d(W) - 2.
+    """
+    deg = t.degrees()
+    counts = _connected_sets_by_top(t, lambda v: (1, deg[v] - 2),
+                                    lambda a, b: (a[0] + b[0], a[1] + b[1]))
+    return BivariatePolynomial({(size, d + 2): c for (size, d), c in counts.items()})
+
+
+def _sigma_row(length: int, i: int, n: int):
+    # [sigma(lambda, i, j) / m_i(lambda) for j = length - 1, ..., n - i], the
+    # j where it can be nonzero: (-1)^(n-j-1) C(top, j - length + 1), which
+    # depends on lambda only through its length; each binomial from the last
+    top = n - i - length + 1
+    row, c = [], 1 if (n - length) % 2 == 0 else -1
+    for low in range(top + 1):
+        row.append(c)
+        c = -c * (top - low) // (low + 1)
+    return row
+
+
 def sigma(lam, i: int, j: int, n: int) -> int:
     """The transform coefficient sigma(lambda, i, j) for lambda of n."""
     lam = tuple(lam)
     if sum(lam) != n:
         raise ValueError(f"{lam!r} is not a partition of {n}")
-    mult = lam.count(i)
-    if mult == 0:
-        return 0
-    length = len(lam)
-    top, low = n - i - length + 1, j - length + 1
-    if low < 0 or top < 0 or low > top:
-        return 0
-    val = comb(top, low) * mult
-    return val if (n - j - 1) % 2 == 0 else -val
+    row, low = _sigma_row(len(lam), i, n), j - len(lam) + 1
+    return lam.count(i) * row[low] if 0 <= low < len(row) else 0
 
 
 def _degree_n_poly(x, n):
@@ -200,36 +289,45 @@ def f_polynomial_from_csf(x, n: int) -> BivariatePolynomial:
 
     Accepts a CsfResult or a bare PPolynomial.  Raises ConsistencyError
     when the input is not homogeneous of degree n or when any recovered
-    coefficient is negative or non-integral.  Each term is read once, at
-    the parts i and the j in [l - 1, n - i] where sigma can be nonzero.
+    coefficient is negative or non-integral.  One pass over the terms sums
+    a(l, i) = m_i(lambda) c_lambda over the lambda of length l; then each
+    a(l, i) meets one row of sigma, the j in [l - 1, n - i] where it can be
+    nonzero.
     """
-    f = Counter()
+    a = Counter()
     for lam, c in _degree_n_poly(x, n).terms.items():
+        for i, mult in Counter(lam).items():
+            a[(len(lam), i)] += mult * c
+    f = [[0] * (n - i + 1) for i in range(n + 1)]  # f[i][j], j = 0..n - i
+    for (length, i), total in a.items():
+        # the row spans j = length - 1, ..., n - i, the tail of f[i]
+        row = _sigma_row(length, i, n)
+        f[i][length - 1:] = [v + s * total for v, s in zip(f[i][length - 1:], row)]
+    return _f_polynomial({(i, j): v for i in range(1, n + 1) for j, v in enumerate(f[i])})
+
+
+def _omega_pieces(n: int):
+    # {(i, j): the (i,j)-graded piece of Omega_n, sum of sigma(lam,i,j) p_lam / z_lam}
+    pieces = {(i, j): {} for i in range(1, n + 1) for j in range(0, n - i + 1)}
+    for lam in partitions(n):
+        z = z_of(lam)
         for i in set(lam):
             for j in range(len(lam) - 1, n - i + 1):
-                f[(i, j)] += sigma(lam, i, j, n) * c
-    return _f_polynomial(f)
-
-
-@lru_cache(maxsize=4096)
-def _omega_piece(n: int, i: int, j: int) -> PPolynomial:
-    # The (i,j)-graded piece of Omega_n: sum of sigma(lam,i,j) p_lam / z_lam.
-    terms = {}
-    for lam in partitions(n):
-        s = sigma(lam, i, j, n)
-        if s:
-            terms[lam] = Fraction(s, z_of(lam))
-    return PPolynomial(terms)
+                s = sigma(lam, i, j, n)
+                if s:
+                    pieces[(i, j)][lam] = Fraction(s, z)
+    return {key: PPolynomial(terms) for key, terms in pieces.items()}
 
 
 def omega_check(x, n: int) -> BivariatePolynomial:
     """F_T via scalar products against Omega_n's graded pieces.
 
     Agrees with f_polynomial_from_csf exactly; same consistency errors.
+    The pieces are built for each call and dropped when it returns.
     """
     poly = _degree_n_poly(x, n)
-    return _f_polynomial({(i, j): _omega_piece(n, i, j).scalar_product(poly)
-                          for i in range(1, n + 1) for j in range(0, n - i + 1)})
+    return _f_polynomial({key: piece.scalar_product(poly)
+                          for key, piece in _omega_pieces(n).items()})
 
 
 def sign_binomial_matrix(k: int, n: int, i: int):

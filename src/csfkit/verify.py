@@ -40,12 +40,14 @@ from .formats import format_edge_list, format_graph6
 from .graphs import Graph, Tree, VertexWeighting, path_sequence, trunk, twig_sequence
 from .invariants import (
     f_polynomial_direct,
+    f_polynomial_dp,
     generalized_degree_sequence,
     identity_matrix,
     matrix_multiply,
     sign_binomial_matrix,
     stats_from_subtree_polynomial,
     subtree_polynomial,
+    subtree_polynomial_dp,
 )
 
 VERIFY_CAP = 20
@@ -318,21 +320,23 @@ def compute_report(g: Graph, what: str) -> dict:
         return doc
     t = Tree.from_graph(g)
     if what == "invariants":
-        s_poly = subtree_polynomial(t)
+        # both DPs first: their cap refuses a large tree before the all-pairs walk
+        s_poly = subtree_polynomial_dp(t)
+        f_poly = f_polynomial_dp(t)
         degs, paths = stats_from_subtree_polynomial(s_poly, t.n)
         doc["degree_sequence"] = list(t.degree_sequence())
         doc["path_sequence"] = list(path_sequence(t))
         doc["twig_sequence"] = list(twig_sequence(t))
         doc["trunk_order"] = len(trunk(t))
         doc["subtree_polynomial"] = s_poly.serialize()
-        doc["f_polynomial"] = f_polynomial_direct(t).serialize()
+        doc["f_polynomial"] = f_poly.serialize()
         doc["stats_from_subtree_polynomial"] = {
             "degrees": list(degs), "paths": list(paths)}
         doc["classification"] = classify(t)
         return doc
     x = csf_tree(t)
     via_sigma = invariants.f_polynomial_from_csf(x, t.n)
-    direct = f_polynomial_direct(t)
+    direct = f_polynomial_dp(t)
     doc["f_from_csf"] = via_sigma.serialize()
     doc["f_direct"] = direct.serialize()
     doc["equal"] = via_sigma == direct

@@ -78,16 +78,58 @@ def test_compute_csf_on_large_sparse_graph_ends(tmp_path, name, code, expect):
         assert expect in out.stderr
 
 
-@pytest.mark.parametrize("what", ["invariants", "transform"])
-@pytest.mark.parametrize("name", sorted(LARGE_TREES))
+TREE_QUERIES = {**SPARSE_GRAPHS, "star300": _star(300), "path300": _path(300),
+                "star5000": _star(5000), "path5000": _path(5000)}
+
+
+@pytest.mark.parametrize("name, what", [
+    # the invariant DPs multiply at least C(n, 2) state pairs, past their
+    # cap from n = 1,001 on; transform's CSF DP stops first on the path
+    ("path1200", "invariants"),
+    ("path1200", "transform"),
+    ("star5000", "invariants"),
+    ("path5000", "invariants"),
+])
 def test_tree_queries_past_their_work_caps_are_capacity_errors(tmp_path, name, what):
-    # the star has 2^39 + 39 subtrees; the path has 720,600 and a tree DP
-    # whose merges pass the work cap long before they finish
     f = tmp_path / f"{name}.txt"
-    f.write_text(LARGE_TREES[name])
+    f.write_text(TREE_QUERIES[name])
     out = run_cli("compute", "--input", str(f), "--what", what)
     assert out.returncode == 3, out.stderr
-    assert "capped" in out.stderr
+    expect = "tree DP capped" if what == "transform" else "tree invariant DP capped"
+    assert expect in out.stderr
+
+
+def _closed_forms(name):
+    # (degree sequence, path sequence) of a star or a path
+    shape, n = name[:4], int(name[4:])
+    if shape == "star":
+        return [n - 1] + [0] * (n - 3) + [1], [n - 1, comb(n - 1, 2)]
+    return [2, n - 2] + [0] * (n - 3), list(range(n - 1, 0, -1))
+
+
+@pytest.mark.parametrize("name, what", [
+    # the star has 2^39 + 39 subtrees, too many to enumerate, but the DPs
+    # count them by top vertex; path41's transform is its CSF DP and σ
+    ("star40", "invariants"),
+    ("star40", "transform"),
+    ("star300", "invariants"),
+    ("path300", "invariants"),
+    ("path41", "transform"),
+])
+def test_tree_queries_finish(tmp_path, name, what):
+    f = tmp_path / f"{name}.txt"
+    f.write_text(TREE_QUERIES[name])
+    out = run_cli("compute", "--input", str(f), "--what", what)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    if what == "transform":
+        assert doc["equal"] is True
+        return
+    degrees, paths = _closed_forms(name)
+    assert doc["degree_sequence"] == degrees and doc["path_sequence"] == paths
+    while degrees[-1] == 0:
+        degrees.pop()
+    assert doc["stats_from_subtree_polynomial"] == {"degrees": degrees, "paths": paths}
 
 
 def test_compute_csf_on_star300_matches_closed_form(tmp_path):

@@ -17,6 +17,7 @@ from csfkit import (
     enumerate_subtrees,
     enumerate_trees,
     f_polynomial_direct,
+    f_polynomial_dp,
     f_polynomial_from_csf,
     generalized_degree_sequence,
     identity_matrix,
@@ -27,7 +28,9 @@ from csfkit import (
     sign_binomial_matrix,
     stats_from_subtree_polynomial,
     subtree_polynomial,
+    subtree_polynomial_dp,
 )
+from csfkit import invariants
 from helpers import random_permutation, random_tree
 
 P3 = Tree(3, [(0, 1), (1, 2)])
@@ -74,6 +77,52 @@ def test_stats_from_subtree_polynomial():
                 expect_degs.pop()
             assert list(degs) == expect_degs
             assert tuple(paths) == path_sequence(t)
+
+
+def _dp_test_trees():
+    # every tree through n = 11, then seeded random trees up to n = 20
+    for n in range(1, 12):
+        yield from enumerate_trees(n)
+    rng = random.Random(41)
+    for _ in range(40):
+        yield random_tree(rng, rng.randint(12, 20))
+
+
+def test_dps_match_subtree_enumeration():
+    for t in _dp_test_trees():
+        assert subtree_polynomial_dp(t) == subtree_polynomial(t)
+        assert f_polynomial_dp(t) == f_polynomial_direct(t)
+    assert subtree_polynomial_dp(Tree(1)) == BivariatePolynomial({(0, 0): 1})
+    assert f_polynomial_dp(Tree(2, [(0, 1)])) == BivariatePolynomial({(1, 1): 2, (2, 0): 1})
+    # a Graph that is a tree is accepted, and a non-tree refused, as by the oracles
+    assert f_polynomial_dp(Graph(4, P4.edges)) == f_polynomial_direct(P4)
+    with pytest.raises(NotATreeError):
+        subtree_polynomial_dp(Graph(3, [(0, 1), (1, 2), (0, 2)]))
+
+
+def test_dp_work_cap_counts_state_pairs(monkeypatch):
+    # on a path rooted at an end, merge k multiplies k states by 1: C(n, 2)
+    # pairs in all, the least any n-vertex tree needs
+    path = Tree(30, [(v, v + 1) for v in range(29)])
+    monkeypatch.setattr(invariants, "TREE_INVARIANT_WORK_CAP", comb(30, 2))
+    assert f_polynomial_dp(path) == f_polynomial_direct(path)
+    assert subtree_polynomial_dp(path) == subtree_polynomial(path)
+    monkeypatch.setattr(invariants, "TREE_INVARIANT_WORK_CAP", comb(30, 2) - 1)
+    for dp in (f_polynomial_dp, subtree_polynomial_dp):
+        with pytest.raises(CapacityError, match="capped"):
+            dp(path)
+
+
+def test_degree_read_off_matches_alternating_binomial_sum():
+    # the Taylor shift against the formula it replaces, d_i for i >= 2
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            s = subtree_polynomial(t)
+            degs, _ = stats_from_subtree_polynomial(s, n)
+            for i in range(2, n):
+                expect = sum(comb(k, i) * (-1) ** (i + k) * s.coefficient(k, k)
+                             for k in range(i, n))
+                assert (degs[i - 1] if i <= len(degs) else 0) == expect
 
 
 def test_f_polynomial_direct_hand():

@@ -159,22 +159,20 @@ def test_selftest_vacuous_on_tiny_corpus():
 
 
 def test_selftest_detects_injected_fault(monkeypatch):
-    # corrupt the transform coefficient and the named check must fail
-    # with a concrete counterexample
-    real_sigma = invariants.sigma
+    # corrupt the transform coefficient sigma(lambda, 1, 1) where it is
+    # written, in the row both sigma and the transform read, and the named
+    # check must fail with a concrete counterexample
+    real_row = invariants._sigma_row
 
-    def broken_sigma(lam, i, j, n):
-        val = real_sigma(lam, i, j, n)
-        if i == 1 and j == 1:
-            return -val
-        return val
+    def broken_row(length, i, n):
+        row = real_row(length, i, n)
+        low = 1 - (length - 1)  # the entry of j = 1
+        if i == 1 and 0 <= low < len(row):
+            row[low] = -row[low]
+        return row
 
-    invariants._omega_piece.cache_clear()
-    monkeypatch.setattr(invariants, "sigma", broken_sigma)
-    try:
-        ok, results = selftest(max_n=4)
-    finally:
-        invariants._omega_piece.cache_clear()
+    monkeypatch.setattr(invariants, "_sigma_row", broken_row)
+    ok, results = selftest(max_n=4)
     assert not ok
     by_name = {name: (passed, cx) for name, passed, cx in results}
     passed, cx = by_name["sigma-vs-direct"]
