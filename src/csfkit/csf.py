@@ -12,7 +12,11 @@ Three independent routes compute the same object:
 
 csf_tree is a fourth, tree-only route: a rooted component-splitting DP
 that is far faster than the 2^|E| expansion and makes the exhaustive
-distinctness verification tractable on one core.  It is cross-checked
+distinctness verification tractable on one core.  Each DP state is one
+int: the open component's size and each closed part's multiplicity sit
+in fields of n.bit_length() + 1 bits, and since no field of a state on
+at most n vertices can exceed n, merging two states is one int addition
+that never carries between fields.  It is cross-checked
 against csf_power_sum in the tests, and capped by its merge work.
 csf_graph picks the tree DP or the subset expansion for a multigraph.
 
@@ -79,7 +83,7 @@ def _subset_expansion(n, edges, weights):
 
     def walk(i, sign):
         if i == m:
-            key = tuple(reversed(parts))
+            key = tuple(parts)  # ascending; reversed once per key below
             acc[key] = acc.get(key, 0) + sign
             return
         u, v = edges[i]
@@ -112,7 +116,7 @@ def _subset_expansion(n, edges, weights):
             insort(parts, wu)
 
     walk(0, 1)
-    return acc
+    return {key[::-1]: c for key, c in acc.items()}
 
 
 def csf_power_sum(g: Graph) -> CsfResult:
@@ -182,17 +186,37 @@ def _tree_partition_counts(t: Graph):
     """{pi(A): |{A}|} over the 2^(n-1) edge subsets of a tree.
 
     Rooted DP: the state at a vertex is a map from (size of the still-open
-    component containing the vertex, partition of completed component
+    component containing the vertex, multiset of completed component
     sizes) to the number of edge subsets realizing it.  A child edge is
     either cut (the child's open component closes) or kept (open sizes
     add); signs follow from the part count, since |A| = n - l(pi(A)).
-    A merge costs its state pairs x merged subtree order (the parts each
-    pair sorts); CapacityError once the sum passes TREE_DP_WORK_CAP.
+
+    A state is one int of fields b = n.bit_length() + 1 bits wide: field 0
+    holds the open size, field k >= 1 the multiplicity of the closed part
+    k.  The open size plus the closed parts of a subtree's state add up to
+    the subtree's order, so no field of it exceeds that order; a merge
+    adds the states of two disjoint subtrees, whose orders add up to at
+    most n < 2^b, so no addition carries from one field into the next.
+    Keeping the child edge is k1 + k2; cutting it is k1 + close(k2), where
+    close moves the open size s into field s.  The root's states are
+    closed the same way and each distinct key is decoded once.
+
+    A merge costs its state pairs x merged subtree order (each pair adds
+    keys of up to that many fields); CapacityError once the sum passes
+    TREE_DP_WORK_CAP.
     """
+    n = t.n
+    b = n.bit_length() + 1
+    mask = (1 << b) - 1
+
+    def close(k):
+        s = k & mask
+        return k - s + (1 << s * b)
+
     order, parent = rooted_order(t.adjacency_sets(), 0)
     # reversed preorder merges each complete child state into its parent's
-    state = [{(1, ()): 1} for _ in order]
-    size = [1] * len(order)
+    state = [{1: 1} for _ in order]
+    size = [1] * n
     work = 0
     for v in reversed(order[1:]):
         p = parent[v]
@@ -202,20 +226,29 @@ def _tree_partition_counts(t: Graph):
         work += len(sv) * len(su) * size[p]
         if work > TREE_DP_WORK_CAP:
             raise CapacityError(f"tree DP capped at {TREE_DP_WORK_CAP} state pairs x merged order")
+        child = [(k2, close(k2), c2) for k2, c2 in su.items()]
         nxt = {}
         get = nxt.get
-        for (s1, mu1), c1 in sv.items():
-            for (s2, mu2), c2 in su.items():
+        for k1, c1 in sv.items():
+            for k2, cut2, c2 in child:
                 cc = c1 * c2
-                cut = (s1, tuple(sorted(mu1 + mu2 + (s2,), reverse=True)))
-                keep = (s1 + s2, tuple(sorted(mu1 + mu2, reverse=True)))
-                nxt[cut] = get(cut, 0) + cc
+                keep, cut = k1 + k2, k1 + cut2
                 nxt[keep] = get(keep, 0) + cc
+                nxt[cut] = get(cut, 0) + cc
         state[p] = nxt
+    closed = {}
+    for k, c in state[0].items():
+        k = close(k)
+        closed[k] = closed.get(k, 0) + c
     counts = {}
-    for (s, mu), c in state[0].items():
-        lam = tuple(sorted(mu + (s,), reverse=True))
-        counts[lam] = counts.get(lam, 0) + c
+    for k, c in closed.items():
+        lam = ()
+        while k:  # peel the highest nonzero field: the largest part left
+            part = (k.bit_length() - 1) // b
+            m = k >> part * b
+            lam += (part,) * m
+            k -= m << part * b
+        counts[lam] = c
     return counts
 
 

@@ -389,11 +389,22 @@ def path_sequence(f: Graph):
     """(s_1, s_2, ...): s_i is the number of vertex pairs at distance i.
 
     In a forest each pair at finite distance determines a unique path, so
-    this counts paths by length.  Trailing zeros are trimmed.
+    this counts paths by length.  Trailing zeros are trimmed.  Each source's
+    depths are counted as soon as its walk has set them, so memory stays
+    O(n); every pair is seen once from each end, and depth 0 (the source
+    and other components) is never read.
     """
-    counts = Counter(tree_distance_pairs(f).values())
+    as_forest(f)
+    adj = f.adjacency_sets()
+    counts = Counter()
+    for src in range(f.n):
+        order, parent = rooted_order(adj, src)
+        depth = [0] * f.n
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
+        counts.update(depth)
     top = max(counts, default=0)
-    return tuple(counts.get(i, 0) for i in range(1, top + 1))
+    return tuple(counts.get(i, 0) // 2 for i in range(1, top + 1))
 
 
 def tree_distance_pairs(t: Graph):

@@ -148,8 +148,8 @@ def test_compute_csf_on_star300_matches_closed_form(tmp_path):
 @pytest.mark.parametrize("what", ["csf", "transform"])
 @pytest.mark.parametrize("name", sorted(BUSHY_TREES))
 def test_bushy_trees_stop_on_the_tree_dp_cap(tmp_path, name, what):
-    # few states but long partitions: each merged pair sorts up to n parts,
-    # which the DP's cap counts, so both queries stop in about 2 s
+    # few states but long partitions: each merged pair adds keys of up to n
+    # fields, which the DP's cap counts, so both queries stop within a second
     f = tmp_path / f"{name}.txt"
     f.write_text(BUSHY_TREES[name])
     out = run_cli("compute", "--input", str(f), "--what", what)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -85,18 +86,71 @@ def test_route_equality_all_trees():
             assert csf_tree(t).poly == a
 
 
-def test_tree_route_on_random_labellings():
+def relabelled_random_tree(rng, lo, hi):
     # enumerated trees are rooted at vertex 0 with parents numbered first;
     # relabelled trees with shuffled, flipped edges are not
+    t = random_tree(rng, rng.randint(lo, hi))
+    perm = random_permutation(rng, t.n)
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+             for u, v in t.edges]
+    rng.shuffle(edges)
+    return Tree(t.n, edges)
+
+
+def test_tree_route_on_random_labellings():
     rng = random.Random(2023)
     for _ in range(150):
-        t = random_tree(rng, rng.randint(1, 12))
-        perm = random_permutation(rng, t.n)
-        edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
-                 for u, v in t.edges]
-        rng.shuffle(edges)
-        t = Tree(t.n, edges)
+        t = relabelled_random_tree(rng, 1, 12)
         assert csf_tree(t).poly == csf_power_sum(t).poly
+
+
+def test_tree_route_on_larger_random_labellings():
+    rng = random.Random(2024)
+    for _ in range(100):
+        t = relabelled_random_tree(rng, 12, 16)
+        assert csf_tree(t).poly == csf_power_sum(t).poly
+
+
+def path(n):
+    return Tree(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def broom(n, k):
+    """A k-vertex path whose last vertex carries n - k leaves."""
+    return Tree(n, [(i, i + 1) for i in range(k - 1)] + [(k - 1, i) for i in range(k, n)])
+
+
+# the tree DP packs fields of n.bit_length() + 1 bits: the width steps
+# up between 15 and 16, 31 and 32, 63 and 64
+FIELD_WIDTH_ORDERS = (15, 16, 17, 31, 32, 33, 63, 64, 65)
+
+
+@pytest.mark.parametrize("n", FIELD_WIDTH_ORDERS)
+def test_tree_dp_star_closed_form_at_field_width_steps(n):
+    # keeping k of the n - 1 edges leaves one (k + 1)-part and n - 1 - k ones
+    expect = poly({(k + 1,) + (1,) * (n - 1 - k): (-1) ** k * comb(n - 1, k) for k in range(n)})
+    # rooted at the centre, and at a leaf whose one child is the centre
+    assert csf_tree(Tree(n, [(0, i) for i in range(1, n)])).poly == expect
+    assert csf_tree(Tree(n, [(n - 1, i) for i in range(n - 1)])).poly == expect
+
+
+@pytest.mark.parametrize("n", FIELD_WIDTH_ORDERS)
+def test_tree_dp_level_sums_at_field_width_steps(n):
+    # a path past 41 vertices passes the DP cap; the broom stands in there
+    shapes = [broom(n, 12)]
+    if n <= 41:
+        shapes.append(path(n))
+    for t in shapes:
+        x = csf_tree(t)
+        for k in range(n + 2):
+            assert level_sum(x, k) == forest_level_value(n, 1, k)
+
+
+def test_tree_dp_cap_stops_between_paths_41_and_42():
+    # the cap counts state pairs x merged order: 35,508,365 units on path-41
+    assert len(csf_tree(path(41)).poly) == 44_583
+    with pytest.raises(CapacityError, match="tree DP capped"):
+        csf_tree(path(42))
 
 
 def test_route_equality_random_weighted_multigraphs():
@@ -264,8 +318,8 @@ def test_graph_route_collapses_parallel_edges():
 
 
 def test_graph_route_stops_large_trees_on_the_dp_cap():
-    # a 1,000-vertex star has few DP states, but each merged pair sorts up
-    # to 1,000 parts; the cap counts those parts and stops it in about 2 s
+    # a 1,000-vertex star has few DP states, but each merged pair adds keys
+    # of up to 1,000 fields; the cap counts those fields and stops it early
     with pytest.raises(CapacityError, match="tree DP capped"):
         csf_graph(Graph(1000, [(0, i) for i in range(1, 1000)]))
     res, route = csf_graph(Graph(64, [(0, i) for i in range(1, 64)]))

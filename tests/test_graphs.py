@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from collections import Counter
 from itertools import combinations, islice
 
 import pytest
@@ -235,6 +236,19 @@ def test_path_sequence_total():
         for t in enumerate_trees(n):
             assert sum(path_sequence(t)) == n * (n - 1) // 2
             assert len(tree_distance_pairs(t)) == n * (n - 1) // 2
+
+
+def test_path_sequence_counts_the_distance_pairs():
+    # tree_distance_pairs lists every pair; path_sequence only counts them
+    rng = random.Random(31)
+    forests = [t for n in range(1, 11) for t in enumerate_trees(n)]
+    for _ in range(20):
+        t = random_tree(rng, rng.randint(2, 14))
+        forests.append(t.delete_edges([i for i in range(t.n - 1) if rng.random() < 0.3]))
+    forests.append(Graph(3))
+    for f in forests:
+        counts = Counter(tree_distance_pairs(f).values())
+        assert path_sequence(f) == tuple(counts[i] for i in range(1, max(counts, default=0) + 1))
 
 
 def test_contract_single_edge():
