@@ -3,17 +3,14 @@
 Subcommands: gen, compute, verify, collide, selftest.  Exit codes:
 0 success, 1 collision found or identity failure, 2 usage or parse
 error, 3 capacity exceeded.  All output except elapsed-time fields is
-deterministic for a fixed command line.
+deterministic for a fixed command line.  Each subcommand imports the
+modules it runs, so a process loads only what its command needs.
 """
 
 import argparse
-import json
 import sys
 
-from .enumeration import classify, enumerate_trees, enumerate_unicyclic
 from .errors import CapacityError, GraphParseError, NotATreeError
-from .formats import format_graph6, load_graph
-from .verify import compute_report, find_collisions, selftest, verify_distinct, write_reports
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -22,6 +19,8 @@ EXIT_CAPACITY = 3
 
 
 def _cmd_gen(args) -> int:
+    from .enumeration import classify, enumerate_trees, enumerate_unicyclic
+    from .formats import format_graph6
     if args.graph_class == "unicyclic":
         graphs = enumerate_unicyclic(args.n)
     else:
@@ -35,6 +34,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_compute(args) -> int:
+    import json
+    from .formats import load_graph
+    from .verify import compute_report
     with open(args.input, "r", encoding="utf-8") as fh:
         g = load_graph(fh.read())
     doc = compute_report(g, args.what)
@@ -49,6 +51,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .reports import write_reports
+    from .verify import verify_distinct
     reports = verify_distinct(args.max_n, jobs=args.jobs)
     for rep in reports:
         print(f"n={rep.order} trees={rep.tree_count} "
@@ -63,6 +67,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_collide(args) -> int:
+    from .verify import find_collisions
     pairs = find_collisions(args.graph_class, args.n)
     for a, b, _ in pairs:
         print(f"{a} {b}")
@@ -71,6 +76,7 @@ def _cmd_collide(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .verify import selftest
     ok, results = selftest(max_n=args.max_n)
     for name, passed, cx in results:
         if passed:

@@ -31,7 +31,6 @@ yields the zero polynomial for any graph with a loop.
 """
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -46,16 +45,36 @@ SUBSET_DEPTH_CAP = 500
 TREE_DP_WORK_CAP = 40_000_000
 
 
-@dataclass(frozen=True)
 class CsfResult:
-    """A CSF plus the degree it should be homogeneous of."""
+    """A CSF plus the degree it should be homogeneous of; immutable."""
 
-    poly: PPolynomial
-    source_order: int
+    __slots__ = ("poly", "source_order")
 
-    def __post_init__(self):
-        if not self.poly.is_homogeneous(self.source_order):
+    def __init__(self, poly: PPolynomial, source_order: int):
+        if not poly.is_homogeneous(source_order):
             raise ValueError("CSF is not homogeneous of the stated order")
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "source_order", source_order)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CsfResult is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CsfResult is immutable")
+
+    def __reduce__(self):  # pickle and copy rebuild via the constructor, not __setattr__
+        return (CsfResult, (self.poly, self.source_order))
+
+    def __eq__(self, other):
+        if not isinstance(other, CsfResult):
+            return NotImplemented
+        return (self.poly, self.source_order) == (other.poly, other.source_order)
+
+    def __hash__(self):
+        return hash((self.poly, self.source_order))
+
+    def __repr__(self):
+        return f"CsfResult(poly={self.poly!r}, source_order={self.source_order!r})"
 
 
 def _subset_expansion(n, edges, weights):

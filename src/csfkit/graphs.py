@@ -389,22 +389,44 @@ def path_sequence(f: Graph):
     """(s_1, s_2, ...): s_i is the number of vertex pairs at distance i.
 
     In a forest each pair at finite distance determines a unique path, so
-    this counts paths by length.  Trailing zeros are trimmed.  Each source's
-    depths are counted as soon as its walk has set them, so memory stays
-    O(n); every pair is seen once from each end, and depth 0 (the source
-    and other components) is never read.
+    this counts paths by length.  Trailing zeros are trimmed.  Each
+    component is rooted at its smallest vertex, and each pair is counted
+    at its top vertex p.  A pair with its two ends under different
+    children of p is counted when p merges the depth counts of its
+    children, kept deepest first so that p takes over the longer list and
+    adds itself at its end.  A pair with p as one end is an ancestor pair:
+    a vertex at depth d has one ancestor at each distance 1..d, read off
+    the root's depth counts.  Memory is O(n); a merge multiplies list
+    lengths no larger than the two sides' vertex counts, so the merges
+    take at most C(n, 2) multiply-adds, and paths and stars O(n) time.
     """
     as_forest(f)
     adj = f.adjacency_sets()
-    counts = Counter()
-    for src in range(f.n):
-        order, parent = rooted_order(adj, src)
-        depth = [0] * f.n
-        for v in order[1:]:
-            depth[v] = depth[parent[v]] + 1
-        counts.update(depth)
-    top = max(counts, default=0)
-    return tuple(counts.get(i, 0) // 2 for i in range(1, top + 1))
+    counts = [0] * (f.n + 1)
+    for comp in f.components():
+        order, parent = rooted_order(adj, min(comp))
+        below = {}  # p -> vertices under p by depth below p, deepest (last) first
+        for v in reversed(order[1:]):
+            lv = below.pop(v, [])
+            lv.append(1)  # v, at depth 1 below its parent
+            lp = below.setdefault(parent[v], lv)
+            if lp is lv:
+                continue
+            if len(lp) < len(lv):
+                lp, lv = lv, lp
+                below[parent[v]] = lp
+            for a, x in enumerate(reversed(lv), 2):
+                for b, y in enumerate(reversed(lp)):
+                    counts[a + b] += x * y
+            for a in range(1, len(lv) + 1):
+                lp[-a] += lv[-a]
+        reach = 0
+        depths = below.pop(order[0], [])
+        for a, x in enumerate(depths):
+            reach += x
+            counts[len(depths) - a] += reach
+    top = max((d for d, c in enumerate(counts) if c), default=0)
+    return tuple(counts[1:top + 1])
 
 
 def tree_distance_pairs(t: Graph):

@@ -290,14 +290,15 @@ def f_polynomial_from_csf(x, n: int) -> BivariatePolynomial:
     Accepts a CsfResult or a bare PPolynomial.  Raises ConsistencyError
     when the input is not homogeneous of degree n or when any recovered
     coefficient is negative or non-integral.  One pass over the terms sums
-    a(l, i) = m_i(lambda) c_lambda over the lambda of length l; then each
-    a(l, i) meets one row of sigma, the j in [l - 1, n - i] where it can be
-    nonzero.
+    a(l, i) = m_i(lambda) c_lambda over the lambda of length l, adding c
+    once per part; then each a(l, i) meets one row of sigma, the j in
+    [l - 1, n - i] where it can be nonzero.
     """
     a = Counter()
     for lam, c in _degree_n_poly(x, n).terms.items():
-        for i, mult in Counter(lam).items():
-            a[(len(lam), i)] += mult * c
+        length = len(lam)
+        for i in lam:
+            a[(length, i)] += c
     f = [[0] * (n - i + 1) for i in range(n + 1)]  # f[i][j], j = 0..n - i
     for (length, i), total in a.items():
         # the row spans j = length - 1, ..., n - i, the tail of f[i]

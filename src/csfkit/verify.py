@@ -11,13 +11,9 @@ exist.  selftest bundles the cross-route identities into named checks,
 each reporting a minimal counterexample on failure.
 """
 
-import json
 import os
 import time
-from dataclasses import dataclass, field
-from hashlib import blake2b
 from itertools import combinations
-from pathlib import Path
 
 from . import invariants
 from .canon import canonical_certificate, small_graph_certificate
@@ -57,30 +53,9 @@ HASH_PERSON = b"csfkit.csf.v1"
 
 def csf_hash(serialization: str) -> str:
     """Stable 128-bit digest of a canonical CSF serialization."""
+    from hashlib import blake2b  # here, so that only callers of csf_hash load hashlib
     return blake2b(serialization.encode("utf-8"), digest_size=16,
                    person=HASH_PERSON).hexdigest()
-
-
-@dataclass
-class VerificationReport:
-    order: int
-    graph_class: str
-    tree_count: int
-    distinct_csf_count: int
-    collisions: list
-    elapsed_ms: int
-    config: dict = field(default_factory=dict)
-
-    def to_json_dict(self):
-        return {
-            "order": self.order,
-            "class": self.graph_class,
-            "tree_count": self.tree_count,
-            "distinct_csf_count": self.distinct_csf_count,
-            "collisions": [list(pair) for pair in self.collisions],
-            "elapsed_ms": self.elapsed_ms,
-            "config": dict(self.config),
-        }
 
 
 def _pairs(groups, name):
@@ -117,6 +92,7 @@ def verify_distinct(max_n: int, jobs: int = 1):
         raise CapacityError(f"verification capped at max_n = {VERIFY_CAP}")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    from .reports import VerificationReport  # here, so that compute does not load dataclasses
     reports = []
     for n in range(1, max_n + 1):
         t0 = time.perf_counter()
@@ -320,7 +296,7 @@ def compute_report(g: Graph, what: str) -> dict:
         return doc
     t = Tree.from_graph(g)
     if what == "invariants":
-        # both DPs first: their cap refuses a large tree before the all-pairs walk
+        # both DPs first: their cap refuses a large tree before any other work
         s_poly = subtree_polynomial_dp(t)
         f_poly = f_polynomial_dp(t)
         degs, paths = stats_from_subtree_polynomial(s_poly, t.n)
@@ -341,23 +317,3 @@ def compute_report(g: Graph, what: str) -> dict:
     doc["f_direct"] = direct.serialize()
     doc["equal"] = via_sigma == direct
     return doc
-
-
-def write_reports(reports, directory):
-    """One JSON per order plus a CSV summary; returns written paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for rep in reports:
-        p = directory / f"verify_n{rep.order:02d}.json"
-        p.write_text(json.dumps(rep.to_json_dict(), sort_keys=True, indent=2) + "\n",
-                     encoding="utf-8")
-        paths.append(p)
-    summary = directory / "summary.csv"
-    lines = ["n,trees,distinct,collisions,ms"]
-    for rep in reports:
-        lines.append(f"{rep.order},{rep.tree_count},{rep.distinct_csf_count},"
-                     f"{len(rep.collisions)},{rep.elapsed_ms}")
-    summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths.append(summary)
-    return paths

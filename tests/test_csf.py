@@ -6,6 +6,7 @@ import pytest
 
 from csfkit import (
     CapacityError,
+    CsfResult,
     Graph,
     NotATreeError,
     PPolynomial,
@@ -44,6 +45,28 @@ def test_hand_values_unit_weights():
     assert csf_power_sum(K3).poly == poly({(1, 1, 1): 1, (2, 1): -3, (3,): 2})
     assert csf_power_sum(C4).poly == poly(
         {(1, 1, 1, 1): 1, (2, 1, 1): -4, (3, 1): 4, (2, 2): 2, (4,): -3})
+
+
+def test_csf_result_is_an_immutable_value():
+    x = poly({(2,): -1, (1, 1): 1})
+    a = CsfResult(x, 2)
+    b = CsfResult(poly({(1, 1): 1, (2,): -1}), 2)
+    assert a == b and hash(a) == hash(b) == hash((x, 2))
+    assert a != CsfResult(x.scale(2), 2) and a != x
+    # the zero polynomial is homogeneous of every degree, so the order tells them apart
+    assert CsfResult(PPolynomial(), 2) != CsfResult(PPolynomial(), 3)
+    assert repr(a) == "CsfResult(poly=PPolynomial(-1*p(2,) + 1*p(1,1)), source_order=2)"
+    with pytest.raises(AttributeError):
+        a.poly = PPolynomial()
+    with pytest.raises(AttributeError):
+        a.label = "P2"
+    with pytest.raises(AttributeError):
+        del a.source_order
+    assert a.poly is x and a.source_order == 2
+    with pytest.raises(ValueError, match="not homogeneous"):
+        CsfResult(poly({(2,): 1, (1,): 1}), 2)
+    with pytest.raises(ValueError, match="not homogeneous"):
+        CsfResult(x, 3)
 
 
 def test_loop_annihilates():

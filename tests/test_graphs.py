@@ -229,6 +229,14 @@ def test_path_sequence():
     # forest: only within-component pairs are counted
     f = Graph(5, [(0, 1), (1, 2), (3, 4)])
     assert path_sequence(f) == (3, 1)
+    # long depth lists: a path rooted at an end and in the middle, stars at either end
+    n = 1000
+    mid_rooted = [(0, 1)] + [(i, i + 2) for i in range(n - 2)]
+    for edges in ([(i, i + 1) for i in range(n - 1)], mid_rooted):
+        assert path_sequence(Graph(n, edges)) == tuple(range(n - 1, 0, -1))
+    for centre in (0, n - 1):
+        star = Graph(n, [(centre, v) for v in range(n) if v != centre])
+        assert path_sequence(star) == (n - 1, (n - 1) * (n - 2) // 2)
 
 
 def test_path_sequence_total():

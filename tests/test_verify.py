@@ -1,3 +1,4 @@
+import importlib
 import json
 import multiprocessing
 import os
@@ -106,6 +107,41 @@ def test_import_does_not_load_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("statement, unloaded", [
+    ("from csfkit import enumerate_trees, format_graph6",
+     ["dataclasses", "fractions", "hashlib", "inspect", "json", "multiprocessing", "pathlib"]),
+    ("from csfkit import compute_report, load_graph",
+     ["dataclasses", "inspect", "multiprocessing", "pathlib"]),
+    ("import csfkit.cli", ["dataclasses"]),
+], ids=["gen", "compute", "cli"])
+def test_import_loads_only_what_the_command_runs(statement, unloaded):
+    # a fresh interpreter without site or environment, as a benchmark setup sample starts
+    src = str(Path(csfkit.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); {statement}; "
+            f"print(sorted(set({unloaded!r}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-E", "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_lazy_namespace_resolves_every_exported_name():
+    assert len(csfkit.__all__) == len(set(csfkit.__all__)) == 63
+    for name in csfkit.__all__:
+        owner = importlib.import_module(f"csfkit.{csfkit._OWNER[name]}")
+        value = getattr(csfkit, name)
+        assert value is getattr(owner, name)
+        assert getattr(value, "__module__", owner.__name__) == owner.__name__, name
+    # the function, though csfkit.partitions the module is loaded too
+    assert csfkit.partitions is sys.modules["csfkit.partitions"].partitions
+    assert csfkit.csf.csf_tree is csfkit.csf_tree
+    namespace = {}
+    exec("from csfkit import *", namespace)
+    assert set(csfkit.__all__) <= set(namespace)
+    assert set(csfkit.__all__) <= set(dir(csfkit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        csfkit.no_such_name
 
 
 def test_verify_distinct_validates_inputs():
