@@ -35,7 +35,7 @@ from itertools import combinations
 from math import comb
 
 from .canon import are_isomorphic
-from .errors import CapacityError
+from .errors import CapacityError, NotATreeError
 from .graphs import (Graph, Tree, VertexWeighting, as_forest, contract_edges, enumerate_subtrees,
                      rooted_order)
 from .psym import ONE, PPolynomial, p_of_partition
@@ -273,8 +273,7 @@ def _tree_partition_counts(t: Graph):
 
 def csf_tree(t: Graph) -> CsfResult:
     """X_T for a tree, by the rooted component-splitting DP."""
-    if not isinstance(t, Tree):
-        t = Tree.from_graph(t)
+    t = Tree.from_graph(t)
     n = t.n
     terms = {lam: (c if (n - len(lam)) % 2 == 0 else -c)
              for lam, c in _tree_partition_counts(t).items()}
@@ -292,9 +291,11 @@ def csf_graph(g: Graph):
     if g.has_loop():
         return CsfResult(PPolynomial(), g.n), "loop"
     simple = Graph(g.n, dict.fromkeys((min(e), max(e)) for e in g.edges))
-    if len(simple.edges) != g.n - 1 or not simple.is_connected():
+    try:
+        t = Tree.from_graph(simple)
+    except NotATreeError:
         return csf_power_sum(simple), "subset-expansion"
-    return csf_tree(Tree.from_graph(simple)), "tree-dp"
+    return csf_tree(t), "tree-dp"
 
 
 def level_sum(x: CsfResult, k: int):
@@ -318,8 +319,7 @@ def subtree_derivative(f: Graph, j: int) -> PPolynomial:
     """
     if not isinstance(j, int) or j < 1:
         raise ValueError("j must be a positive integer")
-    as_forest(f)
-    total = PPolynomial()
+    total = PPolynomial()  # enumerate_subtrees checks that f is a forest
     for w_set in enumerate_subtrees(f):
         if len(w_set) == j:
             total = total + csf_power_sum(f.delete_vertices(w_set)).poly

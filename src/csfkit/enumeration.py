@@ -31,9 +31,10 @@ from .graphs import Graph, Tree
 TREE_CAP = 22
 UNICYCLIC_MIN, UNICYCLIC_MAX = 3, 10
 
-# Non-isomorphic free trees on 1..12 vertices; pinned by an independent
-# brute-force oracle (Pruefer enumeration + certificate dedup) in tests.
-FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
+# Non-isomorphic free trees on 1..22 vertices (OEIS A000055); tests hold enumerate_trees
+# to them and to a brute-force oracle (Pruefer enumeration + certificate dedup).
+FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741,
+                    19320, 48629, 123867, 317955, 823065, 2144505, 5623756)
 
 
 def _level_sequences(n):
@@ -61,13 +62,13 @@ def _level_sequences(n):
 
 
 def _edges_from_levels(levels):
-    # parent of vertex i is the nearest earlier vertex one level up
+    # parent of vertex i is the last vertex seen one level up
+    last = [0] * (len(levels) + 1)
     edges = []
-    for i in range(1, len(levels)):
-        for j in range(i - 1, -1, -1):
-            if levels[j] == levels[i] - 1:
-                edges.append((j, i))
-                break
+    for i, d in enumerate(levels):
+        if i:
+            edges.append((last[d - 1], i))
+        last[d] = i
     return edges
 
 
@@ -114,7 +115,8 @@ def enumerate_unicyclic(n: int):
 
     Every unicyclic graph is a tree plus one extra edge, so adding each
     non-edge to each tree and deduplicating by canonical form is
-    exhaustive.
+    exhaustive.  Each class is yielded in its canonical labelling, the
+    edge list of its small_graph_certificate.
     """
     if not isinstance(n, int) or not UNICYCLIC_MIN <= n <= UNICYCLIC_MAX:
         raise CapacityError(
@@ -126,8 +128,7 @@ def enumerate_unicyclic(n: int):
             for v in range(u + 1, n):
                 if (u, v) in present:
                     continue
-                g = Graph(n, list(t.edges) + [(u, v)])
-                cert = small_graph_certificate(g)
+                cert = small_graph_certificate(Graph(n, list(t.edges) + [(u, v)]))
                 if cert not in seen:
                     seen.add(cert)
-                    yield g
+                    yield Graph(n, cert[2])

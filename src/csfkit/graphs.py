@@ -259,15 +259,17 @@ class Tree(Graph):
 
     @classmethod
     def from_graph(cls, g: Graph):
-        return cls(g.n, g.edges)
+        """g itself when it is already a Tree, else g checked as one."""
+        return g if isinstance(g, cls) else cls(g.n, g.edges)
 
     def leaves(self):
         return [v for v, d in enumerate(self.degrees()) if d == 1]
 
 
 def as_forest(g: Graph) -> Graph:
-    """Validate that g is a forest (simple, acyclic); return it unchanged."""
-    if not g.is_forest():
+    """Validate that g is a forest (simple, acyclic); return it unchanged.
+    A Tree passed a stricter check when it was built and is not checked again."""
+    if not isinstance(g, Tree) and not g.is_forest():
         raise NotATreeError("input must be a forest (simple and acyclic)")
     return g
 

@@ -118,8 +118,7 @@ def subtree_polynomial(t: Tree) -> BivariatePolynomial:
     Leaf edges of a subtree S are the edges of S incident with leaves of
     S; a single vertex contributes q^0 r^0, a single edge q^1 r^1.
     """
-    if not isinstance(t, Tree):
-        t = Tree.from_graph(t)
+    t = Tree.from_graph(t)
     adj = t.adjacency_sets()
     counts = Counter()
     for w_set in enumerate_subtrees(t):
@@ -165,8 +164,7 @@ def stats_from_subtree_polynomial(s: BivariatePolynomial, n: int):
 
 def f_polynomial_direct(t: Tree) -> BivariatePolynomial:
     """F_T(x,y) = sum over subtrees H of x^|H| y^d(V(H)), by enumeration."""
-    if not isinstance(t, Tree):
-        t = Tree.from_graph(t)
+    t = Tree.from_graph(t)
     deg = t.degrees()
     counts = Counter()
     for w_set in enumerate_subtrees(t):
@@ -186,8 +184,7 @@ def _connected_sets_by_top(t: Tree, seed, join) -> Counter:
     join multiplies the parent's state size by the child's; the sum of
     these state pairs passing TREE_INVARIANT_WORK_CAP raises CapacityError.
     """
-    if not isinstance(t, Tree):
-        t = Tree.from_graph(t)
+    t = Tree.from_graph(t)
     order, parent = rooted_order(t.adjacency_sets(), 0)
     state = [{seed(v): 1} for v in range(t.n)]
     counts = Counter()

@@ -16,7 +16,7 @@ import time
 from itertools import combinations
 
 from . import invariants
-from .canon import canonical_certificate, small_graph_certificate
+from .canon import canonical_certificate
 from .csf import (
     corollary_difference,
     csf_deletion_contraction,
@@ -115,17 +115,11 @@ def verify_distinct(max_n: int, jobs: int = 1):
     return reports
 
 
-def canonical_graph6(g: Graph) -> str:
-    """graph6 of the canonically relabeled graph; equal iff isomorphic."""
-    n, _, placed = small_graph_certificate(g)
-    return format_graph6(Graph(n, list(placed)))
-
-
 def find_collisions(graph_class: str, n: int):
     """All non-isomorphic same-CSF pairs in the class, deterministically.
 
-    Returns a list of (certificate, certificate, shared CSF serialization)
-    with canonical-graph6 certificates.
+    Returns a list of (certificate, certificate, shared CSF serialization):
+    the graph6 of each graph in the canonical labelling enumeration gives it.
     """
     if graph_class != "unicyclic":
         raise ValueError(f"unsupported class: {graph_class!r}")
@@ -134,7 +128,7 @@ def find_collisions(graph_class: str, n: int):
     groups = {}
     for g in enumerate_unicyclic(n):
         groups.setdefault(csf_power_sum(g).poly.serialize(), []).append(g)
-    return _pairs(groups, canonical_graph6)
+    return _pairs(groups, format_graph6)
 
 
 def _counterexample(g: Graph) -> str:
@@ -244,7 +238,9 @@ def selftest(max_n: int = 7):
     run("corollary-difference", _first_failure(instances, corollary_ok))
 
     def sigma_ok(t):
-        return invariants.f_polynomial_from_csf(csf_tree(t), t.n) == f_polynomial_direct(t)
+        via_sigma = invariants.f_polynomial_from_csf(csf_tree(t), t.n)
+        direct = f_polynomial_direct(t)
+        return via_sigma == direct and f_polynomial_dp(t) == direct
     run("sigma-vs-direct", _first_failure(trees, sigma_ok))
 
     def omega_ok(t):
@@ -260,11 +256,13 @@ def selftest(max_n: int = 7):
     run("involution", (not cx, cx))
 
     def stats_ok(t):
-        degs, paths = stats_from_subtree_polynomial(subtree_polynomial(t), t.n)
+        s_poly = subtree_polynomial(t)
+        degs, paths = stats_from_subtree_polynomial(s_poly, t.n)
         direct_degs = list(t.degree_sequence())
         while direct_degs and direct_degs[-1] == 0:
             direct_degs.pop()
-        return degs == tuple(direct_degs) and paths == path_sequence(t)
+        return (degs == tuple(direct_degs) and paths == path_sequence(t)
+                and subtree_polynomial_dp(t) == s_poly)
     run("subtree-stats", _first_failure(trees, stats_ok))
 
     def projection_ok(t):

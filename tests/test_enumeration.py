@@ -16,28 +16,27 @@ from csfkit import (
 )
 from helpers import prufer_tree, random_permutation
 
-# standard counts of free trees on 1..12 vertices
-TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
+# standard counts of free trees on 1..22 vertices (OEIS A000055)
+TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741,
+               19320, 48629, 123867, 317955, 823065, 2144505, 5623756)
 # standard counts of connected unicyclic graphs on 3..9 vertices
 UNICYCLIC_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240}
 
 
 def test_tree_counts():
     assert FREE_TREE_COUNTS == TREE_COUNTS
-    for n, expected in enumerate(TREE_COUNTS, start=1):
+    for n, expected in enumerate(TREE_COUNTS[:15], start=1):
         assert sum(1 for _ in enumerate_trees(n)) == expected
 
 
 def test_trees_are_trees_and_distinct():
-    # OEIS A000055 through n = 14
-    counts = TREE_COUNTS + (1301, 3159)
     for n in range(1, 15):
         certs = set()
         for t in enumerate_trees(n):
             assert isinstance(t, Tree)
             assert t.n == n
             certs.add(canonical_certificate(t))
-        assert len(certs) == counts[n - 1]
+        assert len(certs) == TREE_COUNTS[n - 1]
 
 
 def test_one_tree_built_per_free_tree(monkeypatch):
@@ -105,6 +104,8 @@ def test_unicyclic_counts():
             assert g.is_connected()
             assert g.is_simple()
             assert not g.is_forest()
+            # yielded in its canonical labelling, so collide names it as is
+            assert g.edges == small_graph_certificate(g)[2]
 
 
 def test_unicyclic_distinct():

@@ -14,13 +14,19 @@ from csfkit import (
     VertexWeighting,
     are_isomorphic,
     contract_edges,
+    csf_tree,
     enumerate_subtrees,
     enumerate_trees,
+    f_polynomial_direct,
+    f_polynomial_dp,
     path_sequence,
+    subtree_polynomial,
+    subtree_polynomial_dp,
     tree_distance_pairs,
     trunk,
     twig_sequence,
 )
+from csfkit.graphs import as_forest
 from helpers import prufer_tree, random_tree
 
 P4 = Tree(4, [(0, 1), (1, 2), (2, 3)])
@@ -114,6 +120,26 @@ def test_tree_validation():
     with pytest.raises(NotATreeError):
         Tree.from_graph(Graph(2, [(0, 1), (0, 1)]))
     assert Tree.from_graph(Graph(2, [(0, 1)])).leaves() == [0, 1]
+
+
+def test_a_tree_is_its_own_proof():
+    # a Tree is handed back as is; a plain Graph that is a tree is checked
+    t = Tree.from_graph(Graph(4, P4.edges))
+    assert type(t) is Tree and t == P4
+    assert Tree.from_graph(t) is t and as_forest(t) is t
+    forest = Graph(3, [(0, 1)])
+    assert as_forest(forest) is forest
+    tree_only = (csf_tree, subtree_polynomial, f_polynomial_direct, subtree_polynomial_dp,
+                 f_polynomial_dp)
+    forest_ok = (path_sequence, twig_sequence, enumerate_subtrees)
+    for g in (Graph(3, [(0, 1), (1, 2), (0, 2)]), Graph(3, [(0, 1), (1, 0), (1, 2)]),
+              Graph(2, [(0, 1), (1, 1)])):
+        for query in tree_only + forest_ok + (as_forest, Tree.from_graph):
+            with pytest.raises(NotATreeError):
+                query(g)
+    for query in tree_only + (Tree.from_graph,):
+        with pytest.raises(NotATreeError):
+            query(forest)
 
 
 def test_subtree_enumeration_hand_counts():

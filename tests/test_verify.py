@@ -157,6 +157,7 @@ def test_find_collisions_known_pair():
     pairs = find_collisions("unicyclic", 6)
     assert len(pairs) == 1
     a, b, ser = pairs[0]
+    assert (a, b) == ("EO[W", "EjC_")
     ga, gb = parse_graph6(a), parse_graph6(b)
     assert ga != gb and ga.n == gb.n == 6
     # the shared CSF really is shared
@@ -242,6 +243,16 @@ def _failures(results):
     return {name: cx for name, passed, cx in results if not passed}
 
 
+@pytest.mark.parametrize("dp, check", [("f_polynomial_dp", "sigma-vs-direct"),
+                                       ("subtree_polynomial_dp", "subtree-stats")])
+def test_selftest_checks_the_dps_compute_runs(monkeypatch, dp, check):
+    # a DP that counts nothing fails on the first tree, the one-vertex "@"
+    monkeypatch.setattr(verify_module, dp, lambda t: invariants.BivariatePolynomial())
+    ok, results = selftest(max_n=4)
+    assert not ok
+    assert _failures(results) == {check: "@"}
+
+
 def test_selftest_reports_weighted_route_failure(monkeypatch):
     monkeypatch.setattr(verify_module, "csf_deletion_contraction",
                         lambda g, w=None: CsfResult(PPolynomial(), g.n))
@@ -288,11 +299,35 @@ def test_compute_report_names_its_csf_route():
         (Graph(6, [(4, 1), (0, 2), (2, 5)]), "subset-expansion"),  # a forest
         (Graph(3, [(0, 1), (1, 2), (2, 0), (1, 0)]), "subset-expansion"),
         (Graph(3, [(0, 1), (2, 2)]), "loop"),
+        (Graph(0), "subset-expansion"),
+        (Graph(1), "tree-dp"),
+        (Graph(3, [(0, 1), (1, 0), (1, 2)]), "tree-dp"),  # a path with a doubled edge
+        (Graph(4, [(0, 1), (1, 2), (2, 0)]), "subset-expansion"),  # n - 1 edges, a cycle
     ]
     for g, route in cases:
         doc = compute_report(g, "csf")
         assert doc["route"] == route
         assert doc["csf"] == csf_power_sum(g).poly.serialize()
+
+
+def test_compute_checks_its_tree_once(monkeypatch):
+    # one tree check is one simplicity test and one connectivity test
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(Graph, name)
+
+        def counted(self):
+            calls[name] += 1
+            return real(self)
+        monkeypatch.setattr(Graph, name, counted)
+
+    spy("is_simple")
+    spy("is_connected")
+    for what in ("csf", "invariants", "transform"):
+        calls.clear()
+        compute_report(Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)]), what)
+        assert calls == {"is_simple": 1, "is_connected": 1}, what
 
 
 def _shuffled(rng, g):
