@@ -12,25 +12,29 @@ Three independent routes compute the same object:
 
 csf_tree is a fourth, tree-only route: a rooted component-splitting DP
 that is far faster than the 2^|E| expansion and makes the exhaustive
-distinctness verification tractable on one core.  Each DP state is one
-int: the open component's size and each closed part's multiplicity sit
-in fields of n.bit_length() + 1 bits, and since no field of a state on
-at most n vertices can exceed n, merging two states is one int addition
-that never carries between fields.  It is cross-checked
+distinctness verification tractable on one core.  It is cross-checked
 against csf_power_sum in the tests, and capped by its merge work.
 csf_graph picks the tree DP or the subset expansion for a multigraph.
 
+Packed partition keys, shared by the tree DP and the subset expansion:
+a multiset of component weights is one int whose field w, b =
+n.bit_length() + 1 bits wide, counts the components of weight w.  No
+field can exceed the n components of an n-vertex graph, so merging
+components is one int addition that never carries between fields.
+_decode_counts turns each distinct key into its partition once, dropping
+field 0 (zero-weight components, or the tree DP's open size, 0 by then).
+
 Subset-expansion strategy (documented choice): a depth-first include /
 exclude walk over edge indices carrying an incremental union-find with
-rollback.  When an edge's endpoints are already connected, the walk
-returns immediately: pairing each remaining subset B with B xor {e}
-shows the two halves cancel exactly, since adding e never changes
-components but flips the sign.  Only acyclic subsets therefore reach a
-leaf.  Loops are the degenerate case (endpoints always connected), which
-yields the zero polynomial for any graph with a loop.
+rollback and the packed key of the current components.  When an edge's
+endpoints are already connected, the walk returns immediately: pairing
+each remaining subset B with B xor {e} shows the two halves cancel
+exactly, since adding e never changes components but flips the sign.
+Only acyclic subsets therefore reach a leaf.  Loops are the degenerate
+case (endpoints always connected), which yields the zero polynomial for
+any graph with a loop.
 """
 
-from bisect import bisect_left, insort
 from itertools import combinations
 from math import comb
 
@@ -38,7 +42,7 @@ from .canon import are_isomorphic
 from .errors import CapacityError, NotATreeError
 from .graphs import (Graph, Tree, VertexWeighting, as_forest, contract_edges, enumerate_subtrees,
                      rooted_order)
-from .psym import ONE, PPolynomial, p_of_partition
+from .psym import ONE, PPolynomial, _raw, p_of_partition
 
 SUBSET_LEAF_CAP = 1 << 22
 SUBSET_DEPTH_CAP = 500
@@ -77,8 +81,27 @@ class CsfResult:
         return f"CsfResult(poly={self.poly!r}, source_order={self.source_order!r})"
 
 
+def _decode_counts(keys, b):
+    """{partition: summed count} of packed keys of field width b, zero
+    sums dropped; keys that differ only in field 0 share a partition."""
+    counts = {}
+    for k, c in keys.items():
+        lam, k = (), k >> b
+        while k:  # peel the highest nonzero field: the largest part left
+            f = (k.bit_length() - 1) // b
+            m = k >> f * b
+            lam += (f + 1,) * m
+            k -= m << f * b
+        counts[lam] = counts.get(lam, 0) + c
+    return {lam: c for lam, c in counts.items() if c}
+
+
 def _subset_expansion(n, edges, weights):
-    """Signed counts {pi(A): sum of (-1)^|A|} over edge subsets A."""
+    """Signed counts {pi(A): sum of (-1)^|A|} over edge subsets A, zero-free.
+
+    The walk carries pi(A) as a packed key; a union of components of
+    weights wu and wv adds (1 << (wu + wv) * b) - (1 << wu * b) - (1 << wv * b).
+    """
     m = len(edges)
     # The walk recurses once per edge and reaches one leaf per acyclic
     # subset: at most n - 1 edges, none a loop.
@@ -89,71 +112,57 @@ def _subset_expansion(n, edges, weights):
         leaves += comb(links, k)
         if leaves > SUBSET_LEAF_CAP:
             raise CapacityError(f"subset expansion capped at {SUBSET_LEAF_CAP} acyclic subsets")
+    b = n.bit_length() + 1
     parent = list(range(n))
     size = [1] * n
     rootw = list(weights)
-    parts = sorted(w for w in weights if w)
     acc = {}
 
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def walk(i, sign):
+    def walk(i, sign, key):
         if i == m:
-            key = tuple(parts)  # ascending; reversed once per key below
             acc[key] = acc.get(key, 0) + sign
             return
-        u, v = edges[i]
-        ru, rv = find(u), find(v)
+        ru, rv = edges[i]
+        while parent[ru] != ru:
+            ru = parent[ru]
+        while parent[rv] != rv:
+            rv = parent[rv]
         if ru == rv:
             # include/exclude of this edge cancel exactly; nothing survives
             return
-        walk(i + 1, sign)
+        walk(i + 1, sign, key)
         if size[ru] < size[rv]:
             ru, rv = rv, ru
         wu, wv = rootw[ru], rootw[rv]
-        if wu:
-            parts.pop(bisect_left(parts, wu))
-        if wv:
-            parts.pop(bisect_left(parts, wv))
-        if wu or wv:
-            insort(parts, wu + wv)
         parent[rv] = ru
         size[ru] += size[rv]
         rootw[ru] = wu + wv
-        walk(i + 1, -sign)
+        walk(i + 1, -sign, key + (1 << (wu + wv) * b) - (1 << wu * b) - (1 << wv * b))
         parent[rv] = rv
         size[ru] -= size[rv]
         rootw[ru] = wu
-        if wu or wv:
-            parts.pop(bisect_left(parts, wu + wv))
-        if wv:
-            insort(parts, wv)
-        if wu:
-            insort(parts, wu)
 
-    walk(0, 1)
-    return {key[::-1]: c for key, c in acc.items()}
+    walk(0, 1, sum(1 << w * b for w in weights))
+    return _decode_counts(acc, b)
 
 
 def csf_power_sum(g: Graph) -> CsfResult:
     """X_G by the edge-subset expansion; zero when g has a loop."""
     acc = _subset_expansion(g.n, g.edges, (1,) * g.n)
-    return CsfResult(PPolynomial(acc), g.n)
+    return CsfResult(_raw(acc), g.n)
 
 
 def csf_weighted(g: Graph, w: VertexWeighting) -> CsfResult:
-    """X_(G,w) by the weighted edge-subset expansion.
+    """X_(G,w) by the weighted edge-subset expansion (Python API only).
 
     A component of total weight 0 contributes the part 0, and p_0 = 1,
-    so zero parts are dropped from the partition.
+    so zero parts are dropped from the partition.  The walk's packed keys
+    are (W + 1) * b bits wide for total weight W, however few the vertices.
     """
     if len(w) != g.n:
         raise ValueError("weighting length does not match vertex count")
     acc = _subset_expansion(g.n, g.edges, w.weights)
-    return CsfResult(PPolynomial(acc), w.total())
+    return CsfResult(_raw(acc), w.total())
 
 
 def _pick_edge(g: Graph):
@@ -210,15 +219,13 @@ def _tree_partition_counts(t: Graph):
     either cut (the child's open component closes) or kept (open sizes
     add); signs follow from the part count, since |A| = n - l(pi(A)).
 
-    A state is one int of fields b = n.bit_length() + 1 bits wide: field 0
-    holds the open size, field k >= 1 the multiplicity of the closed part
-    k.  The open size plus the closed parts of a subtree's state add up to
-    the subtree's order, so no field of it exceeds that order; a merge
-    adds the states of two disjoint subtrees, whose orders add up to at
-    most n < 2^b, so no addition carries from one field into the next.
-    Keeping the child edge is k1 + k2; cutting it is k1 + close(k2), where
-    close moves the open size s into field s.  The root's states are
-    closed the same way and each distinct key is decoded once.
+    A state is a packed key (see the module docstring) whose field 0
+    holds the open size instead.  The open size plus the closed parts of
+    a subtree's state add up to the subtree's order, so a merge of two
+    disjoint subtrees never carries.  Keeping the child edge is k1 + k2;
+    cutting it is k1 + close(k2), where close moves the open size s into
+    field s.  The root's states are closed the same way, which empties
+    field 0, and decoded by _decode_counts.
 
     A merge costs its state pairs x merged subtree order (each pair adds
     keys of up to that many fields); CapacityError once the sum passes
@@ -259,16 +266,7 @@ def _tree_partition_counts(t: Graph):
     for k, c in state[0].items():
         k = close(k)
         closed[k] = closed.get(k, 0) + c
-    counts = {}
-    for k, c in closed.items():
-        lam = ()
-        while k:  # peel the highest nonzero field: the largest part left
-            part = (k.bit_length() - 1) // b
-            m = k >> part * b
-            lam += (part,) * m
-            k -= m << part * b
-        counts[lam] = c
-    return counts
+    return _decode_counts(closed, b)
 
 
 def csf_tree(t: Graph) -> CsfResult:
@@ -277,7 +275,7 @@ def csf_tree(t: Graph) -> CsfResult:
     n = t.n
     terms = {lam: (c if (n - len(lam)) % 2 == 0 else -c)
              for lam, c in _tree_partition_counts(t).items()}
-    return CsfResult(PPolynomial(terms), n)
+    return CsfResult(_raw(terms), n)
 
 
 def csf_graph(g: Graph):

@@ -291,16 +291,18 @@ def f_polynomial_from_csf(x, n: int) -> BivariatePolynomial:
     once per part; then each a(l, i) meets one row of sigma, the j in
     [l - 1, n - i] where it can be nonzero.
     """
-    a = Counter()
+    a = [[0] * (n + 1) for _ in range(n + 1)]  # a[l][i]
     for lam, c in _degree_n_poly(x, n).terms.items():
-        length = len(lam)
+        row = a[len(lam)]
         for i in lam:
-            a[(length, i)] += c
+            row[i] += c
     f = [[0] * (n - i + 1) for i in range(n + 1)]  # f[i][j], j = 0..n - i
-    for (length, i), total in a.items():
-        # the row spans j = length - 1, ..., n - i, the tail of f[i]
-        row = _sigma_row(length, i, n)
-        f[i][length - 1:] = [v + s * total for v, s in zip(f[i][length - 1:], row)]
+    for length, totals in enumerate(a):
+        for i, total in enumerate(totals):
+            if total:
+                # the row spans j = length - 1, ..., n - i, the tail of f[i]
+                row = _sigma_row(length, i, n)
+                f[i][length - 1:] = [v + s * total for v, s in zip(f[i][length - 1:], row)]
     return _f_polynomial({(i, j): v for i in range(1, n + 1) for j, v in enumerate(f[i])})
 
 

@@ -183,6 +183,48 @@ def test_route_equality_random_weighted_multigraphs():
         assert csf_weighted(g, w).poly == csf_deletion_contraction(g, w).poly
 
 
+def test_packed_subset_walk_matches_deletion_contraction():
+    """The walk's packed key is (W + 1) * b bits wide for total weight W and
+    b = n.bit_length() + 1: weights up to 1,000 on at most 6 vertices put
+    parts far past the n fields a unit weighting uses."""
+    cases = [
+        (Graph(0), VertexWeighting(())),
+        (Graph(3), VertexWeighting((0, 2, 0))),  # edgeless, zero weights dropped
+        (Graph(4), VertexWeighting((0,) * 4)),  # X = 1
+        (Graph(4, [(0, 1), (2, 3), (1, 2)]), VertexWeighting((0,) * 4)),  # X = (1 - 1)^3
+        (Graph(3, [(0, 1), (1, 2), (1, 1)]), VertexWeighting((1, 0, 2))),  # loop: X = 0
+        (Graph(3, [(0, 1), (1, 0), (1, 2)]), VertexWeighting((0, 3, 0))),  # X = 0
+        (Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), VertexWeighting((0, 1000, 0, 999))),
+    ]
+    rng = random.Random(15)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 7))]
+        edges += rng.sample(edges, min(len(edges), rng.randint(0, 2)))  # parallel edges
+        top = rng.choice((3, 1000))
+        cases.append((Graph(n, edges), VertexWeighting(
+            [rng.choice((0, rng.randint(1, top))) for _ in range(n)])))
+    for g, w in cases:
+        assert csf_weighted(g, w).poly == csf_deletion_contraction(g, w).poly
+    assert [csf_weighted(g, w).poly for g, w in cases[:6]] == [
+        poly({(): 1}), poly({(2,): 1}), poly({(): 1}), *[PPolynomial()] * 3]
+    assert csf_weighted(*cases[6]).poly == poly({(1000, 999): 1, (1999,): -1})
+
+
+def test_trusted_term_maps_are_canonical():
+    # csf_tree, csf_power_sum and csf_weighted build their polynomials
+    # unvalidated; the validating constructor must find nothing to change
+    results = [csf_tree(t) for n in range(1, 10) for t in enumerate_trees(n)]
+    rng = random.Random(16)
+    for _ in range(200):
+        g, w = random_weighted_multigraph(rng)
+        results += [csf_power_sum(g), csf_weighted(g, w), csf_graph(g)[0]]
+    for x in results:
+        assert PPolynomial(dict(x.poly.terms)) == x.poly
+        assert 0 not in x.poly.terms.values()
+    assert sum(not x.poly for x in results) > 50  # loops: the empty map
+
+
 def test_forest_route_factorizes():
     f = Graph(5, [(0, 1), (1, 2), (3, 4)])
     prod = csf_power_sum(Graph(3, [(0, 1), (1, 2)])).poly * csf_power_sum(

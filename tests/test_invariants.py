@@ -13,7 +13,10 @@ from csfkit import (
     NotATreeError,
     PPolynomial,
     Tree,
+    VertexWeighting,
+    csf_power_sum,
     csf_tree,
+    csf_weighted,
     enumerate_subtrees,
     enumerate_trees,
     f_polynomial_direct,
@@ -188,6 +191,35 @@ def test_both_routes_report_the_same_first_bad_coefficient():
             assert f_polynomial_from_csf(x, n) == omega_check(x, n)
         raised += text is not None
     assert raised > 100
+
+
+def test_flat_sigma_sums_match_both_other_routes():
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            x = csf_tree(t)
+            assert f_polynomial_from_csf(x, n) == omega_check(x, n) == f_polynomial_dp(t)
+
+
+def test_transform_names_the_first_bad_coefficient():
+    def complete(n):
+        return Graph(n, [(u, v) for v in range(n) for u in range(v)])
+
+    p6 = csf_tree(Tree(6, [(v, v + 1) for v in range(5)])).poly
+    cases = [
+        (csf_power_sum(complete(4)).poly, 4, "negative f(1,2) = -4"),
+        (csf_power_sum(complete(5)).poly, 5, "negative f(1,2) = -35"),
+        (csf_power_sum(Graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])).poly, 5,
+         "negative f(1,2) = -9"),
+        (csf_weighted(complete(3), VertexWeighting((1, 2, 3))).poly, 6, "negative f(1,1) = -1"),
+        (csf_tree(P3).poly.scale(Fraction(1, 2)), 3, "non-integral f(1,2) = 1/2"),
+        (p6.scale(Fraction(1, 3)), 6, "non-integral f(1,1) = 2/3"),
+        (csf_tree(P4).poly + PPolynomial({(4,): Fraction(1, 3)}), 4, "non-integral f(4,0) = 2/3"),
+        (csf_tree(P4).poly + PPolynomial({(2, 1, 1): Fraction(-1, 2)}), 4, "negative f(1,3) = -1"),
+    ]
+    for x, n, bad in cases:
+        text = f"transform produced {bad}; input is not a tree CSF"
+        assert _error_text(f_polynomial_from_csf, x, n) == text
+        assert _error_text(omega_check, x, n) == text
 
 
 def test_transform_accepts_bare_polynomial():
