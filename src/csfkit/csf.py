@@ -13,8 +13,15 @@ Three independent routes compute the same object:
 csf_tree is a fourth, tree-only route: a rooted component-splitting DP
 that is far faster than the 2^|E| expansion and makes the exhaustive
 distinctness verification tractable on one core.  It is cross-checked
-against csf_power_sum in the tests, and capped by its merge work.
-csf_graph picks the tree DP or the subset expansion for a multigraph.
+against csf_power_sum in the tests.  csf_graph picks the tree DP or the
+subset expansion for a multigraph.
+
+The tree DP is one hook on rooted_product_fold, the rooted DP that also
+counts the subtrees behind S_T and F_T (invariants.py): each child's
+finished state becomes a list of (packed key, count) options, which the
+fold merges into its parent's state by adding keys and multiplying
+counts.  The fold charges every merge its work before running it, and
+TREE_DP_WORK_CAP bounds the sum for all three.
 
 Packed partition keys, shared by the tree DP and the subset expansion:
 a multiset of component weights is one int whose field w, b =
@@ -46,7 +53,7 @@ from .psym import ONE, PPolynomial, _raw, p_of_partition
 
 SUBSET_LEAF_CAP = 1 << 22
 SUBSET_DEPTH_CAP = 500
-TREE_DP_WORK_CAP = 40_000_000
+TREE_DP_WORK_CAP = 8_000_000
 
 
 class CsfResult:
@@ -210,63 +217,75 @@ def csf_forest(f: Graph) -> CsfResult:
     return CsfResult(poly, f.n)
 
 
+def rooted_product_fold(t: Graph, seed, options):
+    """The root's state of a product fold over a tree rooted at vertex 0.
+
+    A state is a map {packed key: count}; vertex v starts at {seed[v]: 1}.
+    In reversed preorder every child's state is finished before its
+    parent's, and options(state) turns it into the list of (key, count)
+    choices the child offers its parent.  The merge adds each parent key
+    to each option key and multiplies their counts; the callers' keys are
+    nonnegative ints whose fields never carry, so an addition merges
+    fields.  Each merge is charged (parent keys + 1) x options x
+    (1 + w // 256) units before it runs, w the bit length of the widest
+    key it can build (the +1 pays for building the options, w for adding
+    wide ints and holding them); CapacityError once the sum passes
+    TREE_DP_WORK_CAP.
+    """
+    order, parent = rooted_order(t.adjacency_sets(), 0)
+    state = [{k: 1} for k in seed]
+    top = list(seed)  # the largest key each state can hold
+    work = 0
+    for v in reversed(order[1:]):
+        p = parent[v]
+        opts = options(state[v])
+        state[v] = None
+        sp = state[p]
+        top[p] += max(opts)[0]
+        work += (len(sp) + 1) * len(opts) * (1 + top[p].bit_length() // 256)
+        if work > TREE_DP_WORK_CAP:
+            raise CapacityError(f"tree DP capped at {TREE_DP_WORK_CAP} merge units")
+        nxt = {}
+        get = nxt.get
+        for k1, c1 in sp.items():
+            for k2, c2 in opts:
+                k = k1 + k2
+                nxt[k] = get(k, 0) + c1 * c2
+        state[p] = nxt
+    return state[0]
+
+
 def _tree_partition_counts(t: Graph):
     """{pi(A): |{A}|} over the 2^(n-1) edge subsets of a tree.
 
-    Rooted DP: the state at a vertex is a map from (size of the still-open
-    component containing the vertex, multiset of completed component
-    sizes) to the number of edge subsets realizing it.  A child edge is
-    either cut (the child's open component closes) or kept (open sizes
-    add); signs follow from the part count, since |A| = n - l(pi(A)).
-
-    A state is a packed key (see the module docstring) whose field 0
-    holds the open size instead.  The open size plus the closed parts of
-    a subtree's state add up to the subtree's order, so a merge of two
-    disjoint subtrees never carries.  Keeping the child edge is k1 + k2;
-    cutting it is k1 + close(k2), where close moves the open size s into
-    field s.  The root's states are closed the same way, which empties
-    field 0, and decoded by _decode_counts.
-
-    A merge costs its state pairs x merged subtree order (each pair adds
-    keys of up to that many fields); CapacityError once the sum passes
-    TREE_DP_WORK_CAP.
+    The fold's state at a vertex counts the edge subsets of its subtree
+    by (size of the still-open component containing the vertex, multiset
+    of completed component sizes); signs follow from the part count,
+    since |A| = n - l(pi(A)).  A state is a packed key (see the module
+    docstring) whose field 0 holds the open size instead.  The open size
+    plus the closed parts of a subtree's state add up to its order, so a
+    merge of two disjoint subtrees never carries.  A child edge is either
+    kept (the child's key k as it is) or cut (close(k), which moves the
+    open size s into field s); cut keys that coincide are summed.  The
+    root's states are closed the same way, which empties field 0, and
+    decoded by _decode_counts.
     """
     n = t.n
     b = n.bit_length() + 1
     mask = (1 << b) - 1
 
-    def close(k):
-        s = k & mask
-        return k - s + (1 << s * b)
+    def close(keys):
+        out = {}
+        for k, c in keys.items():
+            s = k & mask
+            k += (1 << s * b) - s
+            out[k] = out.get(k, 0) + c
+        return out
 
-    order, parent = rooted_order(t.adjacency_sets(), 0)
-    # reversed preorder merges each complete child state into its parent's
-    state = [{1: 1} for _ in order]
-    size = [1] * n
-    work = 0
-    for v in reversed(order[1:]):
-        p = parent[v]
-        sv, su = state[p], state[v]
-        state[v] = None
-        size[p] += size[v]
-        work += len(sv) * len(su) * size[p]
-        if work > TREE_DP_WORK_CAP:
-            raise CapacityError(f"tree DP capped at {TREE_DP_WORK_CAP} state pairs x merged order")
-        child = [(k2, close(k2), c2) for k2, c2 in su.items()]
-        nxt = {}
-        get = nxt.get
-        for k1, c1 in sv.items():
-            for k2, cut2, c2 in child:
-                cc = c1 * c2
-                keep, cut = k1 + k2, k1 + cut2
-                nxt[keep] = get(keep, 0) + cc
-                nxt[cut] = get(cut, 0) + cc
-        state[p] = nxt
-    closed = {}
-    for k, c in state[0].items():
-        k = close(k)
-        closed[k] = closed.get(k, 0) + c
-    return _decode_counts(closed, b)
+    def keep_or_cut(keys):
+        return [*keys.items(), *close(keys).items()]
+
+    return _decode_counts(close(rooted_product_fold(t, [1] * n, keep_or_cut)), b)
 
 
 def csf_tree(t: Graph) -> CsfResult:

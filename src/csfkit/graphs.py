@@ -162,18 +162,6 @@ class Graph:
         counts = Counter(degs)
         return tuple(counts.get(i, 0) for i in range(1, top + 1))
 
-    def boundary_and_interior(self, w_set):
-        """(e, d): edges inside w_set, and edges with exactly one end in it."""
-        w_set = set(w_set)
-        e = d = 0
-        for u, v in self.edges:
-            inside = (u in w_set) + (v in w_set)
-            if inside == 2:
-                e += 1
-            elif inside == 1:
-                d += 1
-        return e, d
-
 
 class VertexWeighting:
     """Nonnegative integer weight per vertex."""
@@ -210,9 +198,6 @@ class VertexWeighting:
 
     def total(self):
         return sum(self.weights)
-
-    def of_set(self, w_set):
-        return sum(self.weights[v] for v in w_set)
 
 
 def contract_edges(g: Graph, w: VertexWeighting, s):

@@ -4,8 +4,9 @@ from the power-sum coefficients of X_T.
 
 S_T and F_T both sum over the subtrees of T, and each has two routes.
 subtree_polynomial_dp and f_polynomial_dp count subtrees by their top
-vertex in one rooted DP (_connected_sets_by_top), in time polynomial in
-n and bounded by TREE_INVARIANT_WORK_CAP; compute uses them.
+vertex on the tree DP's rooted product fold (csf.rooted_product_fold),
+in time polynomial in n and bounded by its TREE_DP_WORK_CAP; compute
+uses them.
 subtree_polynomial and f_polynomial_direct enumerate the subtrees one
 by one, which is exponential on bushy trees; they are the oracles the
 DPs are checked against.
@@ -38,14 +39,13 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from .csf import CsfResult
+from .csf import CsfResult, rooted_product_fold
 from .errors import CapacityError, ConsistencyError
-from .graphs import Graph, Tree, enumerate_subtrees, rooted_order
+from .graphs import Graph, Tree, enumerate_subtrees
 from .partitions import partitions, z_of
 from .psym import PPolynomial
 
 GENERALIZED_DEGREE_CAP = 24
-TREE_INVARIANT_WORK_CAP = 500_000
 
 
 class BivariatePolynomial:
@@ -70,9 +70,6 @@ class BivariatePolynomial:
 
     def coefficient(self, i, j):
         return self._terms.get((i, j), 0)
-
-    def evaluate(self, x, y):
-        return sum(c * x ** i * y ** j for (i, j), c in self._terms.items())
 
     def __eq__(self, other):
         if not isinstance(other, BivariatePolynomial):
@@ -173,69 +170,66 @@ def f_polynomial_direct(t: Tree) -> BivariatePolynomial:
     return BivariatePolynomial(counts)
 
 
-def _connected_sets_by_top(t: Tree, seed, join) -> Counter:
-    """{key: count} over the connected vertex sets W of a tree.
+def _count_sets_by_top(counts, t: Tree, seed, lift):
+    """Add to counts {key: count} over the connected vertex sets W of a
+    tree, on the rooted product fold csf.rooted_product_fold.
 
     Rooted at vertex 0, each W has one top vertex, the one nearest the
-    root.  state[v] counts the keys of the sets with top v inside v's
-    subtree: it starts as {seed(v): 1}, and each child c either stays out
-    or brings one of its own sets, a key pair (a, b) becoming join(a, b).
-    The reversed preorder completes every child before it joins.  Each
-    join multiplies the parent's state size by the child's; the sum of
-    these state pairs passing TREE_INVARIANT_WORK_CAP raises CapacityError.
+    root.  The state of v counts the keys of the sets with top v inside
+    v's subtree, from {seed[v]: 1} on.  A child either stays out (key 0)
+    or brings one of its own sets: lift(state) lists them with their keys
+    as the parent's sets will see them.  Each finished state is added to
+    counts as it is handed to the parent, and the root's at the end.
     """
-    t = Tree.from_graph(t)
-    order, parent = rooted_order(t.adjacency_sets(), 0)
-    state = [{seed(v): 1} for v in range(t.n)]
-    counts = Counter()
-    work = 0
-    for v in reversed(order):
-        sv = state[v]
-        state[v] = None
-        counts.update(sv)
-        p = parent[v]
-        if p < 0:
-            break
-        su = state[p]
-        work += len(su) * len(sv)
-        if work > TREE_INVARIANT_WORK_CAP:
-            raise CapacityError(
-                f"tree invariant DP capped at {TREE_INVARIANT_WORK_CAP} state pairs")
-        nxt = dict(su)
-        get = nxt.get
-        for a, c1 in su.items():
-            for b, c2 in sv.items():
-                key = join(a, b)
-                nxt[key] = get(key, 0) + c1 * c2
-        state[p] = nxt
+    def options(keys):
+        for k, c in keys.items():
+            counts[k] = counts.get(k, 0) + c
+        return [(0, 1), *lift(keys)]
+
+    for k, c in rooted_product_fold(Tree.from_graph(t), seed, options).items():
+        counts[k] = counts.get(k, 0) + c
     return counts
 
 
 def subtree_polynomial_dp(t: Tree) -> BivariatePolynomial:
     """S_T(q,r) by the rooted DP; equals subtree_polynomial.
 
-    A set's key is (edges, leaves other than the top, min(children of
-    the top, 2)).  A child that brings no children of its own is a leaf,
-    and the top is one when it has exactly one child.
+    A set's key is edges + (leaves other than the top << b).  A lifted
+    set gains its edge to the new top, and one leaf if the child came
+    alone (key 0).  The top is a leaf exactly when one child came in, and
+    the sets with one child in are the lifted sets themselves, keyed as
+    lifted (the seeds are 0): each is moved up one leaf as it is lifted.
     """
-    def join(a, b):
-        return a[0] + b[0] + 1, a[1] + (b[1] if b[2] else 1), 2 if a[2] else 1
+    b = (2 * t.n).bit_length()
+    mask, leaf = (1 << b) - 1, 1 << b
+    counts = {}
 
-    counts = Counter()
-    for (edges, leaves, kids), c in _connected_sets_by_top(t, lambda v: (0, 0, 0), join).items():
-        counts[(edges, min(leaves + (kids == 1), edges))] += c
-    return BivariatePolynomial(counts)
+    def lift(keys):
+        up = [(k + 1 if k else 1 + leaf, c) for k, c in keys.items()]
+        for k, c in up:
+            counts[k] = counts.get(k, 0) - c
+            counts[k + leaf] = counts.get(k + leaf, 0) + c
+        return up
+
+    terms = Counter()
+    for k, c in _count_sets_by_top(counts, t, [0] * t.n, lift).items():
+        edges = k & mask
+        terms[(edges, min(k >> b, edges))] += c
+    return BivariatePolynomial(terms)
 
 
 def f_polynomial_dp(t: Tree) -> BivariatePolynomial:
     """F_T(x,y) by the rooted DP; equals f_polynomial_direct.
 
-    A set's key is (|W|, sum over W of (deg v - 2)), which is d(W) - 2.
+    A set's key is (sum over W of deg v) + (|W| << b), and d(W) is that
+    degree sum less 2(|W| - 1).  The degree sum stays below 2n < 2^b.
     """
-    deg = t.degrees()
-    counts = _connected_sets_by_top(t, lambda v: (1, deg[v] - 2),
-                                    lambda a, b: (a[0] + b[0], a[1] + b[1]))
-    return BivariatePolynomial({(size, d + 2): c for (size, d), c in counts.items()})
+    b = (2 * t.n).bit_length()
+    mask = (1 << b) - 1
+    seed = [d + (1 << b) for d in t.degrees()]
+    counts = _count_sets_by_top({}, t, seed, lambda keys: keys.items())
+    return BivariatePolynomial({(k >> b, (k & mask) - 2 * (k >> b) + 2): c
+                                for k, c in counts.items()})
 
 
 def _sigma_row(length: int, i: int, n: int):

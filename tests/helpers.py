@@ -50,6 +50,19 @@ def random_weighted_multigraph(rng: random.Random, max_n=7, max_extra=4, max_wei
     return Graph(n, edges), w
 
 
+def boundary_and_interior(g: Graph, w_set):
+    """(e, d): edges inside w_set, and edges with exactly one end in it."""
+    w_set = set(w_set)
+    e = d = 0
+    for u, v in g.edges:
+        inside = (u in w_set) + (v in w_set)
+        if inside == 2:
+            e += 1
+        elif inside == 1:
+            d += 1
+    return e, d
+
+
 def relabel(g: Graph, perm) -> Graph:
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 

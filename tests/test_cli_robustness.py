@@ -50,8 +50,14 @@ def _broom(handle, leaves):
     return f"{n} {n - 1}\n" + body + "".join(f"{handle - 1} {handle + j}\n" for j in range(leaves))
 
 
+def _star_csf(n):
+    # X = sum over k of (-1)^k C(n - 1, k) p_(k+1, 1^(n-1-k))
+    return PPolynomial({(k + 1,) + (1,) * (n - 1 - k): (-1) ** k * comb(n - 1, k)
+                        for k in range(n)})
+
+
 LARGE_TREES = {"star40": _star(40), "path1200": _path(1200)}
-BUSHY_TREES = {"star1500": _star(1500), "broom501": _broom(50, 451)}
+BUSHY_TREES = {"broom501": _broom(50, 451)}
 SPARSE_GRAPHS = {**LARGE_TREES, "path40": _path(40), "path41": _path(41), "path64": _path(64),
                  "star1000": _star(1000), "cycle40": "40 40\n0 39\n" + _path(40).split("\n", 1)[1]}
 
@@ -60,10 +66,11 @@ SPARSE_GRAPHS = {**LARGE_TREES, "path40": _path(40), "path41": _path(41), "path6
     pytest.param("path40", 0, 37338, id="path40"),
     pytest.param("path41", 0, 44583, id="path41"),
     pytest.param("star40", 0, 40, id="star40"),
-    # the DP's merge work (state pairs x merged order) passes its cap
+    # few states per merge and narrow keys: well inside the DP cap
+    pytest.param("star1000", 0, 1000, id="star1000"),
+    # the DP's merge work passes its cap
     pytest.param("path64", 3, "tree DP capped", id="path64"),
     pytest.param("path1200", 3, "tree DP capped", id="path1200"),
-    pytest.param("star1000", 3, "tree DP capped", id="star1000"),
     # a cycle: 2^40 - 40 acyclic subsets, refused before the walk
     pytest.param("cycle40", 3, "subset expansion capped", id="cycle40"),
 ])
@@ -73,19 +80,21 @@ def test_compute_csf_on_large_sparse_graph_ends(tmp_path, name, code, expect):
     out = run_cli("compute", "--input", str(f), "--what", "csf")
     assert out.returncode == code, out.stderr
     if code == 0:
-        assert json.loads(out.stdout)["term_count"] == expect
+        doc = json.loads(out.stdout)
+        assert doc["term_count"] == expect
+        if name.startswith("star"):
+            assert PPolynomial.deserialize(doc["csf"]) == _star_csf(expect)
     else:
         assert expect in out.stderr
 
 
 TREE_QUERIES = {**SPARSE_GRAPHS, "star300": _star(300), "path300": _path(300),
-                "star5000": _star(5000), "path5000": _path(5000)}
+                "star1500": _star(1500), "star5000": _star(5000), "path5000": _path(5000)}
 
 
 @pytest.mark.parametrize("name, what", [
-    # the invariant DPs multiply at least C(n, 2) state pairs, past their
-    # cap from n = 1,001 on; transform's CSF DP stops first on the path
-    ("path1200", "invariants"),
+    # on a path or a star each invariant DP charges n^2 + n - 2 units, past
+    # the cap from n = 2,828 on; transform's CSF DP stops first on the path
     ("path1200", "transform"),
     ("star5000", "invariants"),
     ("path5000", "invariants"),
@@ -95,8 +104,7 @@ def test_tree_queries_past_their_work_caps_are_capacity_errors(tmp_path, name, w
     f.write_text(TREE_QUERIES[name])
     out = run_cli("compute", "--input", str(f), "--what", what)
     assert out.returncode == 3, out.stderr
-    expect = "tree DP capped" if what == "transform" else "tree invariant DP capped"
-    assert expect in out.stderr
+    assert "tree DP capped" in out.stderr
 
 
 def _closed_forms(name):
@@ -114,7 +122,11 @@ def _closed_forms(name):
     ("star40", "transform"),
     ("star300", "invariants"),
     ("path300", "invariants"),
+    ("path1200", "invariants"),
     ("path41", "transform"),
+    # the star's CSF DP merges 2 options per leaf into narrow keys
+    ("star1500", "csf"),
+    ("star1500", "transform"),
 ])
 def test_tree_queries_finish(tmp_path, name, what):
     f = tmp_path / f"{name}.txt"
@@ -122,6 +134,10 @@ def test_tree_queries_finish(tmp_path, name, what):
     out = run_cli("compute", "--input", str(f), "--what", what)
     assert out.returncode == 0, out.stderr
     doc = json.loads(out.stdout)
+    if what == "csf":
+        assert doc["term_count"] == 1500
+        assert PPolynomial.deserialize(doc["csf"]) == _star_csf(1500)
+        return
     if what == "transform":
         assert doc["equal"] is True
         return
@@ -133,28 +149,37 @@ def test_tree_queries_finish(tmp_path, name, what):
 
 
 def test_compute_csf_on_star300_matches_closed_form(tmp_path):
-    # X = sum over k of (-1)^k C(299, k) p_(k+1, 1^(299-k))
     f = tmp_path / "star300.txt"
     f.write_text(_star(300))
     out = run_cli("compute", "--input", str(f), "--what", "csf")
     assert out.returncode == 0, out.stderr
     doc = json.loads(out.stdout)
-    expect = PPolynomial({(k + 1,) + (1,) * (299 - k): (-1) ** k * comb(299, k)
-                          for k in range(300)})
     assert doc["route"] == "tree-dp" and doc["term_count"] == 300
-    assert PPolynomial.deserialize(doc["csf"]) == expect
+    assert PPolynomial.deserialize(doc["csf"]) == _star_csf(300)
 
 
 @pytest.mark.parametrize("what", ["csf", "transform"])
 @pytest.mark.parametrize("name", sorted(BUSHY_TREES))
 def test_bushy_trees_stop_on_the_tree_dp_cap(tmp_path, name, what):
-    # few states but long partitions: each merged pair adds keys of up to n
-    # fields, which the DP's cap counts, so both queries stop within a second
+    # few states but long partitions: up the handle the keys grow to
+    # hundreds of fields, whose width the DP's cap charges, so both
+    # queries stop within a second
     f = tmp_path / f"{name}.txt"
     f.write_text(BUSHY_TREES[name])
     out = run_cli("compute", "--input", str(f), "--what", what)
     assert out.returncode == 3, out.stderr
     assert "tree DP capped" in out.stderr
+
+
+@pytest.mark.parametrize("name", ["broom501", "path1200"])
+def test_tree_dp_cap_stops_before_memory_runs_out(tmp_path, name):
+    # the cap charges key width as well as key pairs, so wide keys stop it
+    # inside 1 GiB of address space, not by MemoryError
+    f = tmp_path / f"{name}.txt"
+    f.write_text(SPARSE_GRAPHS.get(name) or BUSHY_TREES[name])
+    out = run_cli("compute", "--input", str(f), "--what", "csf", preexec_fn=_limit_address_space)
+    assert out.returncode == 3, out.stderr
+    assert "tree DP capped" in out.stderr and "MemoryError" not in out.stderr
 
 
 @pytest.mark.parametrize("max_n, code", [("0", 2), ("13", 3)])

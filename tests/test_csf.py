@@ -159,9 +159,9 @@ def test_tree_dp_star_closed_form_at_field_width_steps(n):
 
 @pytest.mark.parametrize("n", FIELD_WIDTH_ORDERS)
 def test_tree_dp_level_sums_at_field_width_steps(n):
-    # a path past 41 vertices passes the DP cap; the broom stands in there
+    # a path past 44 vertices passes the DP cap; the broom stands in there
     shapes = [broom(n, 12)]
-    if n <= 41:
+    if n <= 44:
         shapes.append(path(n))
     for t in shapes:
         x = csf_tree(t)
@@ -169,11 +169,12 @@ def test_tree_dp_level_sums_at_field_width_steps(n):
             assert level_sum(x, k) == forest_level_value(n, 1, k)
 
 
-def test_tree_dp_cap_stops_between_paths_41_and_42():
-    # the cap counts state pairs x merged order: 35,508,365 units on path-41
-    assert len(csf_tree(path(41)).poly) == 44_583
+def test_tree_dp_cap_stops_between_paths_44_and_45():
+    # the fold charges (parent keys + 1) x options x key width: 7,476,048
+    # units on path-44, past the 8,000,000 cap on path-45
+    assert len(csf_tree(path(44)).poly) == 75_175
     with pytest.raises(CapacityError, match="tree DP capped"):
-        csf_tree(path(42))
+        csf_tree(path(45))
 
 
 def test_route_equality_random_weighted_multigraphs():
@@ -383,10 +384,11 @@ def test_graph_route_collapses_parallel_edges():
 
 
 def test_graph_route_stops_large_trees_on_the_dp_cap():
-    # a 1,000-vertex star has few DP states, but each merged pair adds keys
-    # of up to 1,000 fields; the cap counts those fields and stops it early
+    # a 501-vertex broom (a 50-vertex path ending in 451 leaves) has few
+    # states per vertex, but its keys grow to hundreds of fields up the
+    # handle; the cap charges their width and stops it early
     with pytest.raises(CapacityError, match="tree DP capped"):
-        csf_graph(Graph(1000, [(0, i) for i in range(1, 1000)]))
+        csf_graph(broom(501, 50))
     res, route = csf_graph(Graph(64, [(0, i) for i in range(1, 64)]))
     assert route == "tree-dp" and len(res.poly) == 64
 

@@ -33,8 +33,9 @@ from csfkit import (
     subtree_polynomial,
     subtree_polynomial_dp,
 )
-from csfkit import invariants
-from helpers import random_permutation, random_tree
+from csfkit import csf
+from csfkit.graphs import rooted_order
+from helpers import random_permutation, random_tree, relabel
 
 P3 = Tree(3, [(0, 1), (1, 2)])
 P4 = Tree(4, [(0, 1), (1, 2), (2, 3)])
@@ -45,8 +46,6 @@ def test_bivariate_basics():
     f = BivariatePolynomial({(1, 2): 3, (2, 0): -1, (3, 3): 0})
     assert f.coefficient(1, 2) == 3
     assert f.coefficient(3, 3) == 0  # zero coefficients are dropped
-    assert f.evaluate(1, 1) == 2
-    assert f.evaluate(2, 3) == 3 * 2 * 9 - 4
     text = f.serialize()
     assert BivariatePolynomial.deserialize(text) == f
     assert text == "(1,2): 3\n(2,0): -1"
@@ -104,16 +103,56 @@ def test_dps_match_subtree_enumeration():
 
 
 def test_dp_work_cap_counts_state_pairs(monkeypatch):
-    # on a path rooted at an end, merge k multiplies k states by 1: C(n, 2)
-    # pairs in all, the least any n-vertex tree needs
+    # on a path rooted at an end, merge k meets 1 parent key with the child's
+    # k sets and the stay-out option, on keys far narrower than 256 bits:
+    # (1 + 1) x (k + 1) units, 928 in all for k = 1..29
     path = Tree(30, [(v, v + 1) for v in range(29)])
-    monkeypatch.setattr(invariants, "TREE_INVARIANT_WORK_CAP", comb(30, 2))
+    monkeypatch.setattr(csf, "TREE_DP_WORK_CAP", 928)
     assert f_polynomial_dp(path) == f_polynomial_direct(path)
     assert subtree_polynomial_dp(path) == subtree_polynomial(path)
-    monkeypatch.setattr(invariants, "TREE_INVARIANT_WORK_CAP", comb(30, 2) - 1)
+    monkeypatch.setattr(csf, "TREE_DP_WORK_CAP", 927)
     for dp in (f_polynomial_dp, subtree_polynomial_dp):
         with pytest.raises(CapacityError, match="capped"):
             dp(path)
+
+
+def _subtree_count(t):
+    # prod over the children c of v of (1 + s_c) counts the subtrees topped at v
+    order, parent = rooted_order(t.adjacency_sets(), 0)
+    tops = [1] * t.n
+    for v in reversed(order[1:]):
+        tops[parent[v]] *= 1 + tops[v]
+    return sum(tops)
+
+
+def test_dps_at_scale_match_counts_and_read_offs():
+    # far past enumeration: each coefficient sum is the subtree count, S_T
+    # gives back the degree and path sequences, and relabelling (which moves
+    # the DPs' root) changes neither polynomial
+    rng = random.Random(16)
+    for _ in range(3):
+        t = random_tree(rng, 200)
+        count = _subtree_count(t)
+        degrees = list(t.degree_sequence())
+        while degrees[-1] == 0:
+            degrees.pop()
+        s_poly, f_poly = subtree_polynomial_dp(t), f_polynomial_dp(t)
+        assert sum(s_poly.terms.values()) == sum(f_poly.terms.values()) == count
+        assert stats_from_subtree_polynomial(s_poly, t.n) == (tuple(degrees), path_sequence(t))
+        for _ in range(2):
+            t2 = relabel(t, random_permutation(rng, t.n))
+            assert subtree_polynomial_dp(t2) == s_poly and f_polynomial_dp(t2) == f_poly
+
+
+def test_tree_dps_are_labelling_invariant():
+    rng = random.Random(30)
+    for _ in range(20):
+        t = random_tree(rng, rng.randint(2, 30))
+        x, s_poly, f_poly = csf_tree(t), subtree_polynomial_dp(t), f_polynomial_dp(t)
+        for _ in range(2):
+            t2 = relabel(t, random_permutation(rng, t.n))
+            assert csf_tree(t2) == x
+            assert subtree_polynomial_dp(t2) == s_poly and f_polynomial_dp(t2) == f_poly
 
 
 def test_degree_read_off_matches_alternating_binomial_sum():
