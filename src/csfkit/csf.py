@@ -114,12 +114,13 @@ def _subset_expansion(n, edges, weights):
     # subset: at most n - 1 edges, none a loop.
     if m > SUBSET_DEPTH_CAP:
         raise CapacityError(f"edge-subset expansion capped at {SUBSET_DEPTH_CAP} edges, got {m}")
-    links, leaves = sum(u != v for u, v in edges), 0
-    for k in range(min(links, n - 1) + 1):
-        leaves += comb(links, k)
-        if leaves > SUBSET_LEAF_CAP:
-            raise CapacityError(f"subset expansion capped at {SUBSET_LEAF_CAP} acyclic subsets")
+    # A leaf costs 1 + (key bits) // 256 units, a key being (W + 1) * b bits for total weight W
     b = n.bit_length() + 1
+    links, leaves, width = sum(u != v for u, v in edges), 0, 1 + (sum(weights) + 1) * b // 256
+    for k in range(min(links, n - 1) + 1):
+        leaves += comb(links, k) * width
+        if leaves > SUBSET_LEAF_CAP:
+            raise CapacityError(f"subset expansion capped at {SUBSET_LEAF_CAP} subset units")
     parent = list(range(n))
     size = [1] * n
     rootw = list(weights)
@@ -164,7 +165,7 @@ def csf_weighted(g: Graph, w: VertexWeighting) -> CsfResult:
 
     A component of total weight 0 contributes the part 0, and p_0 = 1,
     so zero parts are dropped from the partition.  The walk's packed keys
-    are (W + 1) * b bits wide for total weight W, however few the vertices.
+    are (W + 1) * b bits wide for total weight W; the subset cap charges it.
     """
     if len(w) != g.n:
         raise ValueError("weighting length does not match vertex count")

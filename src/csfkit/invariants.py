@@ -18,12 +18,19 @@ coefficients of X_T,
     sigma(lambda,i,j) = (-1)^(n-j-1) C(n-i-l+1, j-l+1) m_i(lambda),
 
 where l = l(lambda), m_i counts parts of size i, and out-of-range
-binomials are 0.  omega_check computes the same coefficients as scalar
-products against the graded pieces of Omega_n; sign_binomial_matrix is
-the involution A with A^2 = I underlying the inversion.  Since sigma
-depends on lambda only through l and m_i, f_polynomial_from_csf first
-sums m_i(lambda) c_lambda over the terms of each length l, and applies
-the binomial once per (l, i, j).
+binomials are 0.  omega_check takes scalar products against the graded
+pieces of Omega_n, built from sigma as written; sign_binomial_matrix is
+the involution A with A^2 = I underlying the inversion.
+f_polynomial_from_csf never evaluates sigma: summed over j, the
+binomials of one length l make a power of (1 - y),
+
+    sum_j f_T(i,j) y^j = sum_l b_l y^(l-1) (1 - y)^(n-i+1-l),
+    b_l = (-1)^(n-l) sum over lambda of length l of m_i(lambda) c_lambda,
+
+so one pass over the terms sums the b_l of each part i present, and
+Horner's rule, H <- H (1 - y) + b_l y^(l-1) for l from the shortest
+length present, l_min, up to n - i + 1, yields row i of F_T in about
+(n - i + 2 - l_min)^2 / 2 subtractions.
 
 Degree extraction from S_T is valid for degrees >= 2 only: the identity
 sum over k >= i of C(k,i)(-1)^(i+k) s_T(k,k) counts the vertices of
@@ -232,25 +239,16 @@ def f_polynomial_dp(t: Tree) -> BivariatePolynomial:
                                 for k, c in counts.items()})
 
 
-def _sigma_row(length: int, i: int, n: int):
-    # [sigma(lambda, i, j) / m_i(lambda) for j = length - 1, ..., n - i], the
-    # j where it can be nonzero: (-1)^(n-j-1) C(top, j - length + 1), which
-    # depends on lambda only through its length; each binomial from the last
-    top = n - i - length + 1
-    row, c = [], 1 if (n - length) % 2 == 0 else -1
-    for low in range(top + 1):
-        row.append(c)
-        c = -c * (top - low) // (low + 1)
-    return row
-
-
 def sigma(lam, i: int, j: int, n: int) -> int:
     """The transform coefficient sigma(lambda, i, j) for lambda of n."""
     lam = tuple(lam)
     if sum(lam) != n:
         raise ValueError(f"{lam!r} is not a partition of {n}")
-    row, low = _sigma_row(len(lam), i, n), j - len(lam) + 1
-    return lam.count(i) * row[low] if 0 <= low < len(row) else 0
+    low = j - len(lam) + 1
+    if low < 0 or i not in lam:
+        return 0
+    s = lam.count(i) * comb(n - i - len(lam) + 1, low)
+    return -s if (n - j - 1) % 2 else s
 
 
 def _degree_n_poly(x, n):
@@ -262,9 +260,9 @@ def _degree_n_poly(x, n):
 
 
 def _f_polynomial(values):
-    # F_T from {(i, j): f(i, j)}, checked in ascending (i, j) so the first bad value is reported
+    # F_T from ((i, j), f(i, j)) pairs in ascending (i, j), so the first bad value is reported
     terms = {}
-    for (i, j), value in sorted(values.items()):
+    for (i, j), value in values:
         bad = ("non-integral" if isinstance(value, Fraction) and value.denominator != 1
                else "negative" if value < 0 else "")
         if bad:
@@ -275,29 +273,41 @@ def _f_polynomial(values):
     return BivariatePolynomial(terms)
 
 
+def _length_sums(poly, n):
+    # rows[i] = {l: b}, b = (-1)^(n-l) a(l, i) and a(l, i) the sum of m_i(lambda) c_lambda
+    # over the lambda of length l; a part that never occurs keeps {}.  Equal parts
+    # are adjacent in a partition, so each run of them is counted once
+    rows = [{} for _ in range(n + 1)]
+    for lam, c in poly.terms.items():
+        length = len(lam)
+        if (n - length) % 2:
+            c = -c
+        k = 0
+        while k < length:
+            i = lam[k]
+            m = lam.count(i)
+            row = rows[i]
+            row[length] = row.get(length, 0) + m * c
+            k += m
+    return rows
+
+
 def f_polynomial_from_csf(x, n: int) -> BivariatePolynomial:
     """F_T recovered from a tree CSF by the sigma-transform.
 
     Accepts a CsfResult or a bare PPolynomial.  Raises ConsistencyError
     when the input is not homogeneous of degree n or when any recovered
-    coefficient is negative or non-integral.  One pass over the terms sums
-    a(l, i) = m_i(lambda) c_lambda over the lambda of length l, adding c
-    once per part; then each a(l, i) meets one row of sigma, the j in
-    [l - 1, n - i] where it can be nonzero.
+    coefficient is negative or non-integral.  Row i comes from one Horner
+    pass in (1 - y) over the b_l of part i (see the module docstring).
     """
-    a = [[0] * (n + 1) for _ in range(n + 1)]  # a[l][i]
-    for lam, c in _degree_n_poly(x, n).terms.items():
-        row = a[len(lam)]
-        for i in lam:
-            row[i] += c
-    f = [[0] * (n - i + 1) for i in range(n + 1)]  # f[i][j], j = 0..n - i
-    for length, totals in enumerate(a):
-        for i, total in enumerate(totals):
-            if total:
-                # the row spans j = length - 1, ..., n - i, the tail of f[i]
-                row = _sigma_row(length, i, n)
-                f[i][length - 1:] = [v + s * total for v, s in zip(f[i][length - 1:], row)]
-    return _f_polynomial({(i, j): v for i in range(1, n + 1) for j, v in enumerate(f[i])})
+    rows, values = _length_sums(_degree_n_poly(x, n), n), []
+    for i, row in enumerate(rows):
+        if row:
+            first, h = min(row), []  # h[k] is the coefficient of y^(first - 1 + k)
+            for length in range(first, n - i + 2):
+                h = [u - v for u, v in zip([*h, row.get(length, 0)], [0, *h])]
+            values += [((i, j), v) for j, v in enumerate(h, first - 1) if v]
+    return _f_polynomial(values)
 
 
 def _omega_pieces(n: int):
@@ -307,9 +317,7 @@ def _omega_pieces(n: int):
         z = z_of(lam)
         for i in set(lam):
             for j in range(len(lam) - 1, n - i + 1):
-                s = sigma(lam, i, j, n)
-                if s:
-                    pieces[(i, j)][lam] = Fraction(s, z)
+                pieces[(i, j)][lam] = Fraction(sigma(lam, i, j, n), z)
     return {key: PPolynomial(terms) for key, terms in pieces.items()}
 
 
@@ -320,8 +328,8 @@ def omega_check(x, n: int) -> BivariatePolynomial:
     The pieces are built for each call and dropped when it returns.
     """
     poly = _degree_n_poly(x, n)
-    return _f_polynomial({key: piece.scalar_product(poly)
-                          for key, piece in _omega_pieces(n).items()})
+    return _f_polynomial((key, piece.scalar_product(poly))
+                         for key, piece in _omega_pieces(n).items())
 
 
 def sign_binomial_matrix(k: int, n: int, i: int):
@@ -332,17 +340,8 @@ def sign_binomial_matrix(k: int, n: int, i: int):
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    rows = []
-    for m in range(1, k + 1):
-        row = []
-        for j in range(1, k + 1):
-            if m < j or n - i - j < 0 or m - j > n - i - j:
-                row.append(0)
-            else:
-                val = comb(n - i - j, m - j)
-                row.append(val if (n - m - 1) % 2 == 0 else -val)
-        rows.append(row)
-    return rows
+    return [[(-1 if (n - m - 1) % 2 else 1) * comb(n - i - j, m - j) if j <= min(m, n - i) else 0
+             for j in range(1, k + 1)] for m in range(1, k + 1)]
 
 
 def matrix_multiply(a, b):

@@ -370,6 +370,17 @@ def test_subset_cap_bounds_acyclic_subsets():
         csf_power_sum(Graph(2, [(0, 1)] * 501))
 
 
+def test_subset_cap_charges_the_key_width():
+    # a packed key is (W + 1) * b bits wide for total weight W, and each
+    # acyclic subset costs 1 + key bits // 256: the 4-cycle weighted
+    # (W, 1, W, 2) has 15 acyclic subsets, refused at W = 10^7 before the walk
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(CapacityError, match="subset expansion capped"):
+        csf_weighted(c4, VertexWeighting((10**7, 1, 10**7, 2)))
+    w = VertexWeighting((10**6, 1, 10**6, 2))
+    assert csf_weighted(c4, w).poly == csf_deletion_contraction(c4, w).poly
+
+
 def test_graph_route_decides_a_loop_at_once():
     # 600 edges pass the subset walk's depth cap; the loop alone gives X = 0
     res, route = csf_graph(Graph(600, [(i, i + 1) for i in range(599)] + [(7, 7)]))

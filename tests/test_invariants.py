@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -259,6 +260,21 @@ def test_transform_names_the_first_bad_coefficient():
         text = f"transform produced {bad}; input is not a tree CSF"
         assert _error_text(f_polynomial_from_csf, x, n) == text
         assert _error_text(omega_check, x, n) == text
+
+
+def test_transform_memory_stays_linear_on_a_star():
+    # star-600's CSF has 600 terms: the Horner pass keeps one row of part 1
+    # and the nonzero values, not an (n + 1)^2 table of length sums
+    star = Tree(600, [(0, v) for v in range(1, 600)])
+    x = csf_tree(star)
+    tracemalloc.start()
+    try:
+        f = f_polynomial_from_csf(x, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert f == f_polynomial_dp(star)
 
 
 def test_transform_accepts_bare_polynomial():

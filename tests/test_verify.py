@@ -196,19 +196,17 @@ def test_selftest_vacuous_on_tiny_corpus():
 
 
 def test_selftest_detects_injected_fault(monkeypatch):
-    # corrupt the transform coefficient sigma(lambda, 1, 1) where it is
-    # written, in the row both sigma and the transform read, and the named
-    # check must fail with a concrete counterexample
-    real_row = invariants._sigma_row
+    # negate the transform's sign-folded length sum b_l of part 1 at the
+    # shortest length, where the Horner pass reads it, and the named check
+    # must fail with a concrete counterexample
+    real_sums = invariants._length_sums
 
-    def broken_row(length, i, n):
-        row = real_row(length, i, n)
-        low = 1 - (length - 1)  # the entry of j = 1
-        if i == 1 and 0 <= low < len(row):
-            row[low] = -row[low]
-        return row
+    def broken_sums(poly, n):
+        rows = real_sums(poly, n)
+        rows[1][min(rows[1])] *= -1
+        return rows
 
-    monkeypatch.setattr(invariants, "_sigma_row", broken_row)
+    monkeypatch.setattr(invariants, "_length_sums", broken_sums)
     ok, results = selftest(max_n=4)
     assert not ok
     by_name = {name: (passed, cx) for name, passed, cx in results}
@@ -219,6 +217,21 @@ def test_selftest_detects_injected_fault(monkeypatch):
     graph6, _, why = cx.partition(" ")
     assert why == "(ConsistencyError)"
     assert parse_graph6(graph6).n >= 1
+
+
+def test_selftest_omega_route_checks_sigma_apart_from_the_transform(monkeypatch):
+    # the transform never evaluates sigma, so a wrong sigma(lambda, 1, 1)
+    # fails the Omega route alone
+    real_sigma = invariants.sigma
+
+    def broken_sigma(lam, i, j, n):
+        s = real_sigma(lam, i, j, n)
+        return -s if (i, j) == (1, 1) else s
+
+    monkeypatch.setattr(invariants, "sigma", broken_sigma)
+    ok, results = selftest(max_n=4)
+    assert not ok
+    assert set(_failures(results)) == {"omega-route"}
 
 
 def test_verify_distinct_reports_colliding_trees(monkeypatch):
