@@ -27,7 +27,7 @@ _EXPORTS = {
     "formats": ("format_edge_list", "format_graph6", "load_graph", "parse_edge_list",
                 "parse_graph6"),
     "graphs": ("Graph", "Tree", "VertexWeighting", "contract_edges", "enumerate_subtrees",
-               "path_sequence", "tree_distance_pairs", "trunk", "twig_sequence"),
+               "path_sequence", "trunk", "twig_sequence"),
     "invariants": ("BivariatePolynomial", "f_polynomial_direct", "f_polynomial_dp",
                    "f_polynomial_from_csf", "generalized_degree_sequence", "identity_matrix",
                    "matrix_multiply", "omega_check", "sigma", "sign_binomial_matrix",

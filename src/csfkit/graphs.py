@@ -5,9 +5,11 @@ pairs; loops (u == v) and duplicate pairs are allowed and preserved.  Edge
 subsets everywhere are sets of edge *indices*, which is what the CSF
 subset expansion and deletion/contraction identities address.
 
-Tree-specific queries (subtree enumeration, trunk, twigs, path counts)
-live here as functions; csf-engine and invariants consume them.  Every
-rooted walk goes through rooted_order, an iterative preorder.
+Forest and tree checks, components and contraction share one union-find
+(_find, _join) that roots each class at its smallest vertex.  Tree
+queries (subtree enumeration, trunk, twigs, path counts) live here as
+functions; csf-engine and invariants consume them.  Every rooted walk
+goes through rooted_order, an iterative preorder.
 """
 
 from collections import Counter
@@ -17,27 +19,23 @@ from .errors import CapacityError, NotATreeError
 SUBTREE_WORK_CAP = 1 << 24
 
 
-class DisjointSet:
-    """Union-find with path halving; small and allocation-light."""
+def _find(parent, x):
+    """Root of x's class in the forest `parent`, halving the path walked."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
-    __slots__ = ("parent",)
 
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+def _join(parent, u, v):
+    """Merge u's and v's classes under the smaller root; False if already one."""
+    ru, rv = _find(parent, u), _find(parent, v)
+    if ru == rv:
+        return False
+    if ru < rv:
+        parent[rv] = ru
+    else:
+        parent[ru] = rv
+    return True
 
 
 class Graph:
@@ -79,12 +77,9 @@ class Graph:
         return any(u == v for u, v in self.edges)
 
     def is_simple(self):
-        seen = set()
-        for u, v in self._normalized_edges():
-            if u == v or (u, v) in seen:
-                return False
-            seen.add((u, v))
-        return True
+        # a loop is left out of the set and a repeated pair collapses in it
+        pairs = {(u, v) if u < v else (v, u) for u, v in self.edges if u != v}
+        return len(pairs) == len(self.edges)
 
     def degrees(self):
         """Degree of each vertex; a loop contributes 2 to its endpoint."""
@@ -107,28 +102,24 @@ class Graph:
         """Connected components of the spanning subgraph (V, edge_subset).
 
         edge_subset is a set of edge indices; None means all edges.
-        Returns a list of frozensets ordered by smallest member.
+        Returns a list of frozensets ordered by smallest member (the root).
         """
-        dsu = DisjointSet(self.n)
-        if edge_subset is None:
-            for u, v in self.edges:
-                dsu.union(u, v)
-        else:
-            for i in edge_subset:
-                u, v = self.edges[i]
-                dsu.union(u, v)
+        parent = list(range(self.n))
+        edges = self.edges if edge_subset is None else [self.edges[i] for i in edge_subset]
+        for u, v in edges:
+            _join(parent, u, v)
         groups = {}
         for v in range(self.n):
-            groups.setdefault(dsu.find(v), []).append(v)
-        return [frozenset(g) for _, g in sorted(groups.items())]
+            groups.setdefault(_find(parent, v), []).append(v)
+        return [frozenset(g) for g in groups.values()]
 
     def is_connected(self):
         return self.n <= 1 or len(self.components()) == 1
 
     def is_forest(self):
-        if not self.is_simple():
-            return False
-        return len(self.edges) + len(self.components()) == self.n
+        """No edge closes a cycle (a loop, a repeated pair or a longer one)."""
+        parent = list(range(self.n))
+        return all(_join(parent, u, v) for u, v in self.edges)
 
     def delete_edges(self, s):
         """Same vertices, edges with indices in s removed (order kept)."""
@@ -205,31 +196,23 @@ def contract_edges(g: Graph, w: VertexWeighting, s):
 
     Loop edges in s are simply deleted (weights untouched).  Parallel
     edges and loops *created* by the contraction are kept.  The result
-    does not depend on any ordering of s.  Merged classes are relabeled
-    by their smallest original vertex.
+    does not depend on any ordering of s.  The merged classes are the
+    components of (V, s), relabeled in order of their smallest vertex.
     """
     s = set(s)
     if not s:
         raise ValueError("contraction set must be nonempty")
     if len(w) != g.n:
         raise ValueError("weighting length does not match vertex count")
-    dsu = DisjointSet(g.n)
-    for i in s:
-        u, v = g.edges[i]
-        if u != v:
-            dsu.union(u, v)
-    roots = sorted({dsu.find(v) for v in range(g.n)})
-    relabel = {r: i for i, r in enumerate(roots)}
-    new_weights = [0] * len(roots)
-    for v in range(g.n):
-        new_weights[relabel[dsu.find(v)]] += w[v]
-    edges = [(relabel[dsu.find(u)], relabel[dsu.find(v)])
-             for i, (u, v) in enumerate(g.edges) if i not in s]
-    return Graph(len(roots), edges), VertexWeighting(new_weights)
+    classes = g.components(s)
+    label = {v: k for k, comp in enumerate(classes) for v in comp}
+    edges = [(label[u], label[v]) for i, (u, v) in enumerate(g.edges) if i not in s]
+    weights = [sum(w[v] for v in comp) for comp in classes]
+    return Graph(len(classes), edges), VertexWeighting(weights)
 
 
 class Tree(Graph):
-    """A connected, simple, loop-free graph on n vertices with n-1 edges."""
+    """n >= 1 vertices and n-1 edges closing no cycle, so connected and simple."""
 
     def __init__(self, n, edges=()):
         super().__init__(n, edges)
@@ -237,10 +220,11 @@ class Tree(Graph):
             raise NotATreeError("a tree has at least one vertex")
         if len(self.edges) != n - 1:
             raise NotATreeError(f"tree on {n} vertices needs {n - 1} edges, got {len(self.edges)}")
-        if not self.is_simple():
-            raise NotATreeError("tree must be simple and loop-free")
-        if not self.is_connected():
-            raise NotATreeError("tree must be connected")
+        if not self.is_forest():
+            parent = list(range(n))  # find the edge that closes the cycle
+            i = next(i for i, (u, v) in enumerate(self.edges) if not _join(parent, u, v))
+            raise NotATreeError(f"edge {i} {self.edges[i]} closes a cycle, so the "
+                                f"{n - 1} edges cannot join all {n} vertices")
 
     @classmethod
     def from_graph(cls, g: Graph):
@@ -342,32 +326,19 @@ def trunk(t: Tree):
 def twig_sequence(f: Graph):
     """(t_1, t_2, ...): t_i is the number of twigs of length i in a forest.
 
-    A twig runs from a leaf to the first vertex of degree >= 3 in its
-    component; its length is the number of edges on that walk (the branch
-    vertex itself is not part of the twig).  A component that is a bare
-    path has no branch vertex and contributes ONE twig, the whole path.
-    An isolated vertex contributes nothing (there is no length-0 twig).
+    Vertices off the trunk have degree <= 2, so each piece the trunk cuts
+    off is a path hanging from it by one end edge: a twig, running from a
+    leaf to the first vertex of degree >= 3, whose length counts its edges
+    and that one.  A bare path component is ONE twig, its edges the length;
+    an isolated vertex contributes nothing (there is no length-0 twig).
     """
     as_forest(f)
-    adj = f.adjacency_sets()
-    degs = f.degrees()
-    lengths = []
-    for comp in f.components():
-        if len(comp) == 1:
-            continue
-        if all(degs[v] <= 2 for v in comp):
-            lengths.append(len(comp) - 1)
-            continue
-        for v in comp:
-            if degs[v] != 1:
-                continue
-            prev, cur, steps = None, v, 0
-            while degs[cur] < 3:
-                nxt = next(u for u in adj[cur] if u != prev)
-                prev, cur = cur, nxt
-                steps += 1
-            lengths.append(steps)
-    counts = Counter(lengths)
+    core = trunk(f)
+    off = [i for i, (u, v) in enumerate(f.edges) if u not in core and v not in core]
+    piece = {v: k for k, comp in enumerate(f.components(off)) for v in comp}
+    hang = Counter(piece[v if u in core else u] for u, v in f.edges
+                   if u not in core or v not in core)  # edges per piece
+    counts = Counter(hang.values())
     top = max(counts, default=0)
     return tuple(counts.get(i, 0) for i in range(1, top + 1))
 
@@ -415,17 +386,3 @@ def path_sequence(f: Graph):
     top = max((d for d, c in enumerate(counts) if c), default=0)
     return tuple(counts[1:top + 1])
 
-
-def tree_distance_pairs(t: Graph):
-    """All-pairs distances of a forest as {(u, v): d} with u < v."""
-    as_forest(t)
-    adj = t.adjacency_sets()
-    out = {}
-    for src in range(t.n):
-        order, parent = rooted_order(adj, src)
-        depth = [0] * t.n
-        for v in order[1:]:
-            depth[v] = depth[parent[v]] + 1
-            if v > src:
-                out[(src, v)] = depth[v]
-    return out

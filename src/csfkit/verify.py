@@ -123,8 +123,6 @@ def find_collisions(graph_class: str, n: int):
     """
     if graph_class != "unicyclic":
         raise ValueError(f"unsupported class: {graph_class!r}")
-    if not isinstance(n, int) or not 3 <= n <= 8:
-        raise CapacityError("collision search supports unicyclic graphs with 3 <= n <= 8")
     groups = {}
     for g in enumerate_unicyclic(n):
         groups.setdefault(csf_power_sum(g).poly.serialize(), []).append(g)

@@ -1,8 +1,10 @@
 """Shared construction helpers for the test suite."""
 
 import random
+from collections import Counter
 
 from csfkit import Graph, Tree, VertexWeighting
+from csfkit.graphs import as_forest, rooted_order
 
 
 def prufer_tree(seq) -> Tree:
@@ -61,6 +63,71 @@ def boundary_and_interior(g: Graph, w_set):
         elif inside == 1:
             d += 1
     return e, d
+
+
+def tree_distance_pairs(t: Graph):
+    """All-pairs distances of a forest as {(u, v): d} with u < v."""
+    as_forest(t)
+    adj = t.adjacency_sets()
+    out = {}
+    for src in range(t.n):
+        order, parent = rooted_order(adj, src)
+        depth = [0] * t.n
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
+            if v > src:
+                out[(src, v)] = depth[v]
+    return out
+
+
+def contract_by_own_union_find(g: Graph, w: VertexWeighting, s):
+    """contract_edges with a union-find pass of its own: classes merge under
+    the smaller root and are relabeled by the rank of that root."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in s:
+        ra, rb = find(g.edges[i][0]), find(g.edges[i][1])
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    roots = sorted({find(v) for v in range(g.n)})
+    label = {r: i for i, r in enumerate(roots)}
+    weights = [0] * len(roots)
+    for v in range(g.n):
+        weights[label[find(v)]] += w[v]
+    edges = [(label[find(u)], label[find(v)]) for i, (u, v) in enumerate(g.edges) if i not in s]
+    return Graph(len(roots), edges), VertexWeighting(weights)
+
+
+def twig_sequence_by_leaf_walk(f: Graph):
+    """twig_sequence by walking from every leaf to the first vertex of degree >= 3."""
+    as_forest(f)
+    adj = f.adjacency_sets()
+    degs = f.degrees()
+    lengths = []
+    for comp in f.components():
+        if len(comp) == 1:
+            continue
+        if all(degs[v] <= 2 for v in comp):
+            lengths.append(len(comp) - 1)
+            continue
+        for v in comp:
+            if degs[v] != 1:
+                continue
+            prev, cur, steps = None, v, 0
+            while degs[cur] < 3:
+                nxt = next(u for u in adj[cur] if u != prev)
+                prev, cur = cur, nxt
+                steps += 1
+            lengths.append(steps)
+    counts = Counter(lengths)
+    top = max(counts, default=0)
+    return tuple(counts.get(i, 0) for i in range(1, top + 1))
 
 
 def relabel(g: Graph, perm) -> Graph:

@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 import sys
 from collections import Counter
 from itertools import combinations, islice
@@ -22,12 +23,19 @@ from csfkit import (
     path_sequence,
     subtree_polynomial,
     subtree_polynomial_dp,
-    tree_distance_pairs,
     trunk,
     twig_sequence,
 )
 from csfkit.graphs import as_forest
-from helpers import boundary_and_interior, prufer_tree, random_tree
+from helpers import (
+    boundary_and_interior,
+    contract_by_own_union_find,
+    prufer_tree,
+    random_tree,
+    random_weighted_multigraph,
+    tree_distance_pairs,
+    twig_sequence_by_leaf_walk,
+)
 
 P4 = Tree(4, [(0, 1), (1, 2), (2, 3)])
 STAR4 = Tree(4, [(0, 1), (0, 2), (0, 3)])
@@ -119,6 +127,46 @@ def test_tree_validation():
     with pytest.raises(NotATreeError):
         Tree.from_graph(Graph(2, [(0, 1), (0, 1)]))
     assert Tree.from_graph(Graph(2, [(0, 1)])).leaves() == [0, 1]
+
+
+@pytest.mark.parametrize("n, edges, named", [
+    (3, [(0, 1), (2, 2)], "edge 1 (2, 2)"),  # a loop
+    (3, [(0, 1), (1, 0)], "edge 1 (1, 0)"),  # a repeated pair
+    (4, [(0, 1), (1, 2), (2, 0)], "edge 2 (2, 0)"),  # a triangle beside an isolated vertex
+])
+def test_tree_error_names_the_edge_that_closes_a_cycle(n, edges, named):
+    with pytest.raises(NotATreeError, match=re.escape(named) + " closes a cycle"):
+        Tree(n, edges)
+
+
+def _seeded_multigraphs():
+    rng = random.Random(3)
+    return [random_weighted_multigraph(rng) for _ in range(500)]
+
+
+def test_is_forest_is_simple_and_one_component_per_missing_edge():
+    # the definition is_forest had before its one pass: simple, and m + c = n
+    for g, _ in _seeded_multigraphs():
+        assert g.is_forest() == (g.is_simple() and g.m + len(g.components()) == g.n), g
+
+
+def test_contraction_classes_are_components():
+    for g, w in _seeded_multigraphs():
+        for r in range(1, 4):
+            for s in combinations(range(g.m), r):
+                gc, wc = contract_edges(g, w, s)
+                oc, ow = contract_by_own_union_find(g, w, s)
+                assert (gc.n, gc.edges, wc) == (oc.n, oc.edges, ow), (g, s)
+
+
+def test_twigs_hang_off_the_trunk():
+    trees = [t for n in range(1, 11) for t in enumerate_trees(n)]
+    small = [t for t in trees if t.n <= 6]
+    # every two-component forest of trees n <= 6, b's vertices shifted past a's
+    forests = trees + [Graph(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])
+                       for a in small for b in small]
+    for f in forests:
+        assert twig_sequence(f) == twig_sequence_by_leaf_walk(f), f
 
 
 def test_a_tree_is_its_own_proof():

@@ -127,7 +127,7 @@ def test_import_loads_only_what_the_command_runs(statement, unloaded):
 
 
 def test_lazy_namespace_resolves_every_exported_name():
-    assert len(csfkit.__all__) == len(set(csfkit.__all__)) == 63
+    assert len(csfkit.__all__) == len(set(csfkit.__all__)) == 62
     for name in csfkit.__all__:
         owner = importlib.import_module(f"csfkit.{csfkit._OWNER[name]}")
         value = getattr(csfkit, name)
@@ -176,10 +176,12 @@ def test_find_collisions_none_below_six():
 def test_find_collisions_validates():
     with pytest.raises(ValueError):
         find_collisions("trees", 6)
+    # the order range is enumerate_unicyclic's, 3..10
     with pytest.raises(CapacityError):
-        find_collisions("unicyclic", 9)
+        find_collisions("unicyclic", 11)
     with pytest.raises(CapacityError):
         find_collisions("unicyclic", 2)
+    assert find_collisions("unicyclic", 9) == []
 
 
 def test_selftest_passes():
@@ -324,23 +326,26 @@ def test_compute_report_names_its_csf_route():
 
 
 def test_compute_checks_its_tree_once(monkeypatch):
-    # one tree check is one simplicity test and one connectivity test
+    # one tree check is one is_forest pass; building a Tree finds no components
     calls = Counter()
 
     def spy(name):
         real = getattr(Graph, name)
 
-        def counted(self):
+        def counted(self, *args):
             calls[name] += 1
-            return real(self)
+            return real(self, *args)
         monkeypatch.setattr(Graph, name, counted)
 
-    spy("is_simple")
-    spy("is_connected")
+    for name in ("is_forest", "is_simple", "is_connected", "components"):
+        spy(name)
+    edges = [(0, 1), (1, 2), (2, 3), (2, 4)]
+    Tree(5, edges)
+    assert calls == {"is_forest": 1}
     for what in ("csf", "invariants", "transform"):
         calls.clear()
-        compute_report(Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)]), what)
-        assert calls == {"is_simple": 1, "is_connected": 1}, what
+        compute_report(Graph(5, edges), what)
+        assert calls["is_forest"] == 1, what
 
 
 def _shuffled(rng, g):
