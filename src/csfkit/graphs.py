@@ -305,8 +305,8 @@ def enumerate_subtrees(t: Graph):
     return walk()
 
 
-def trunk(t: Tree):
-    """Smallest subtree containing all vertices of degree >= 3.
+def trunk(t: Graph):
+    """Smallest subtree containing all vertices of degree >= 3, per component.
 
     Empty frozenset when no such vertex exists (paths); for a spider this
     is the single branch vertex.  Rooted at a branch vertex, a vertex is
