@@ -1,22 +1,25 @@
 """Exhaustive generation of non-isomorphic free trees and small
 unicyclic graphs.
 
-Free trees are generated by the canonical level-sequence successor
-scheme: rooted trees on n vertices correspond to canonical level
-sequences (each entry is the depth of a vertex in preorder, root depth
-1, and each subtree's sequence is lexicographically maximal among its
-siblings' reorderings).  Starting from the path (1,2,...,n) the
-successor rule walks every canonical sequence exactly once, ending at
-the star (1,2,2,...,2).  After Wright, Richmond, Odlyzko and McKay
-("Constant time generation of free trees", SIAM J. Comput. 1986), each
-free tree is kept once by a test on its sequence alone.  Split it into
-the first child's subtree ``left`` and the root with its other subtrees
-``rest``.  The tallest subtree comes first, so the root is a centre iff
-``rest`` is at least as tall as ``left``.  If both are equally tall, the
-tree is bicentral and the other centre's rooting swaps the two; the one
-with ``(len(left), left) <= (len(rest), rest)`` is kept, and if both are
-one rooted tree the walk meets it once.  Only kept sequences are built
-into a ``Tree``.
+A rooted tree is written as its canonical level sequence: vertex depths
+in preorder, root depth 1, each subtree lexicographically maximal among
+its siblings'.  The Beyer–Hedetniemi successor at a vertex p deeper
+than 2 lowers p by one and repeats the block from p's new parent to the
+end, giving the next canonical sequence in reverse lexicographic order.
+
+Free trees are walked by the method of Wright, Richmond, Odlyzko and
+McKay ("Constant time generation of free trees", SIAM J. Comput. 1986).
+Split a sequence into the first child's subtree ``left`` and the root
+with its other subtrees ``rest``.  The root is a centre iff ``rest`` is
+at least as tall as ``left``; of a bicentral tree's two centre rootings
+the one with ``(len(left), left) <= (len(rest), rest)`` is kept, so each
+kept sequence is one free tree.  After a kept sequence the walk takes
+the successor.  After a rejected one it jumps: every successor that
+changes only ``rest`` fails too, so it steps once at the last vertex p
+of ``left``, and if p sat deeper than 3 (the new ``left`` then runs to
+the end) it sets the last h + 1 entries to 2, 3, ..., h + 2, h the new
+``left``'s height: the least ``rest`` that can balance it.  Each free
+tree costs one successor step and at most one jump.
 
 Unicyclic graphs are produced the blunt way the small cap invites:
 add every non-edge to every tree and deduplicate by the small-graph
@@ -37,28 +40,44 @@ FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 774
                     19320, 48629, 123867, 317955, 823065, 2144505, 5623756)
 
 
-def _level_sequences(n):
-    """Canonical level sequences of rooted trees on n vertices."""
-    seq = list(range(1, n + 1))
+def _successor(seq, p):
+    """The Beyer–Hedetniemi step at p (seq[p] > 2): the next canonical
+    level sequence after seq that keeps seq[:p]."""
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    # nxt[i] = nxt[i - (p - q)] for i >= p: the block seq[q:p], repeated
+    reps = (len(seq) - q) // (p - q)
+    return seq[:p] + (seq[q:p] * reps)[:len(seq) - p]
+
+
+def _free_levels(n):
+    """Canonical level sequences of the free trees on n vertices, each
+    rooted at its (first) centre, in the order of the rooted walk."""
+    if n == 1:
+        yield [1]
+        return
+    seq = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
     while True:
-        yield seq
-        p = -1
-        for i in range(n - 1, -1, -1):
-            if seq[i] > 2:
-                p = i
-                break
-        if p < 0:
-            return
-        q = -1
-        for i in range(p - 1, -1, -1):
-            if seq[i] == seq[p] - 1:
-                q = i
-                break
-        period = p - q
-        nxt = seq[:p]
-        while len(nxt) < n:
-            nxt.append(nxt[-period])
-        seq = nxt
+        # the first child's subtree ends at the next 2, or at the end
+        split = (seq + [2]).index(2, 2)
+        left = [d - 1 for d in seq[1:split]]
+        rest = seq[:1] + seq[split:]
+        if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+            yield seq
+            p = n - 1
+            while seq[p] <= 2:
+                p -= 1
+                if p == 0:
+                    return
+            seq = _successor(seq, p)
+        else:
+            p = split - 1
+            jump = seq[p] > 3
+            seq = _successor(seq, p)
+            if jump:
+                h = max(seq) - 2
+                seq[n - h - 1:] = range(2, h + 3)
 
 
 def _edges_from_levels(levels):
@@ -72,16 +91,6 @@ def _edges_from_levels(levels):
     return edges
 
 
-def _free_canonical(levels):
-    """True iff this rooted tree is the one kept for its free tree (n >= 2)."""
-    # the first child's subtree ends at the next 2, or at the sentinel
-    split = (levels + [2]).index(2, 2)
-    left = [d - 1 for d in levels[1:split]]
-    rest = levels[:1] + levels[split:]
-    # by height first: the root is a centre iff rest is at least as tall
-    return (max(left), len(left), left) <= (max(rest), len(rest), rest)
-
-
 def enumerate_trees(n: int):
     """Yield one representative per isomorphism class of free trees on n
     vertices (1 <= n <= 22)."""
@@ -89,12 +98,8 @@ def enumerate_trees(n: int):
         raise ValueError("n must be a positive integer")
     if n > TREE_CAP:
         raise CapacityError(f"tree enumeration capped at n = {TREE_CAP}")
-    if n == 1:
-        yield Tree(1)
-        return
-    for levels in _level_sequences(n):
-        if _free_canonical(levels):
-            yield Tree(n, _edges_from_levels(levels))
+    for levels in _free_levels(n):
+        yield Tree(n, _edges_from_levels(levels))
 
 
 def classify(t: Tree) -> str:

@@ -118,20 +118,15 @@ def format_graph6(g: Graph) -> str:
     if not g.is_simple():
         raise ValueError("graph6 cannot encode loops or multi-edges")
     n = g.n
-    adj = set(g._normalized_edges())
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in adj else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return _g6_encode_n(n) + "".join(chars)
+    # one character per 6 bits of the upper triangle, column by column;
+    # a simple graph sets each bit once, so adding it to "?" (63) sets it
+    body = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))
+    for u, v in g.edges:
+        if u > v:
+            u, v = v, u
+        k = v * (v - 1) // 2 + u
+        body[k // 6] += 32 >> k % 6
+    return _g6_encode_n(n) + body.decode("ascii")
 
 
 def load_graph(text: str) -> Graph:

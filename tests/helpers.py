@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 from csfkit import Graph, Tree, VertexWeighting
+from csfkit.formats import _g6_encode_n
 from csfkit.graphs import as_forest, rooted_order
 
 
@@ -138,3 +139,73 @@ def random_permutation(rng: random.Random, n: int):
     perm = list(range(n))
     rng.shuffle(perm)
     return perm
+
+
+def rooted_level_sequences(n):
+    """Every canonical level sequence of a rooted tree on n vertices, from
+    the path (1, 2, ..., n) to the star, by the Beyer–Hedetniemi successor
+    at the last vertex deeper than 2."""
+    seq = list(range(1, n + 1))
+    while True:
+        yield seq
+        p = -1
+        for i in range(n - 1, -1, -1):
+            if seq[i] > 2:
+                p = i
+                break
+        if p < 0:
+            return
+        q = -1
+        for i in range(p - 1, -1, -1):
+            if seq[i] == seq[p] - 1:
+                q = i
+                break
+        period = p - q
+        nxt = seq[:p]
+        while len(nxt) < n:
+            nxt.append(nxt[-period])
+        seq = nxt
+
+
+def is_free_canonical(levels):
+    """True iff this rooted tree (n >= 2) is the centre rooting kept for its free tree."""
+    # the first child's subtree ends at the next 2, or at the sentinel
+    split = (levels + [2]).index(2, 2)
+    left = [d - 1 for d in levels[1:split]]
+    rest = levels[:1] + levels[split:]
+    # by height first: the root is a centre iff rest is at least as tall
+    return (max(left), len(left), left) <= (max(rest), len(rest), rest)
+
+
+def free_levels_by_filter(n):
+    """The free trees' level sequences by walking every rooted tree and
+    keeping the centre rootings: the oracle for enumeration._free_levels."""
+    if n == 1:
+        return [[1]]
+    return [seq for seq in rooted_level_sequences(n) if is_free_canonical(seq)]
+
+
+def otter_free_counts(N):
+    """Free tree counts for n = 1..N with no table: rooted counts by the
+    A000081 recurrence, then Otter's dissimilarity theorem."""
+    r = [0, 1]
+    for m in range(1, N):
+        s = [sum(d * r[d] for d in range(1, k + 1) if k % d == 0) for k in range(m + 1)]
+        r.append(sum(s[k] * r[m - k + 1] for k in range(1, m + 1)) // m)
+    pairs = [sum(r[i] * r[n - i] for i in range(1, n)) for n in range(N + 1)]
+    return [r[n] - (pairs[n] - (r[n // 2] if n % 2 == 0 else 0)) // 2 for n in range(1, N + 1)]
+
+
+def format_graph6_pairwise(g: Graph) -> str:
+    """graph6 by testing every vertex pair against the edge set: the
+    oracle for formats.format_graph6."""
+    adj = {(u, v) if u < v else (v, u) for u, v in g.edges}
+    bits = [1 if (i, j) in adj else 0 for j in range(1, g.n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    chars = []
+    for k in range(0, len(bits), 6):
+        val = 0
+        for b in bits[k:k + 6]:
+            val = (val << 1) | b
+        chars.append(chr(val + 63))
+    return _g6_encode_n(g.n) + "".join(chars)

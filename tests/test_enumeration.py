@@ -14,7 +14,8 @@ from csfkit import (
     enumerate_unicyclic,
     small_graph_certificate,
 )
-from helpers import prufer_tree, random_permutation
+from csfkit import enumeration
+from helpers import free_levels_by_filter, otter_free_counts, prufer_tree, random_permutation
 
 # standard counts of free trees on 1..22 vertices (OEIS A000055)
 TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741,
@@ -25,8 +26,32 @@ UNICYCLIC_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240}
 
 def test_tree_counts():
     assert FREE_TREE_COUNTS == TREE_COUNTS
-    for n, expected in enumerate(TREE_COUNTS[:15], start=1):
+    for n, expected in enumerate(TREE_COUNTS[:17], start=1):
         assert sum(1 for _ in enumerate_trees(n)) == expected
+
+
+def test_otter_counts_match_the_table():
+    assert otter_free_counts(22) == list(TREE_COUNTS)
+
+
+def test_free_walk_matches_rooted_walk_filtered():
+    # the jump skips only candidates the centre test would reject
+    for n in range(1, 17):
+        assert list(enumeration._free_levels(n)) == free_levels_by_filter(n)
+
+
+def test_free_walk_steps_at_most_twice_per_tree(monkeypatch):
+    calls = []
+    real_successor = enumeration._successor
+
+    def counting_successor(seq, p):
+        calls.append(p)
+        return real_successor(seq, p)
+
+    monkeypatch.setattr(enumeration, "_successor", counting_successor)
+    trees = sum(1 for _ in enumeration._free_levels(14))
+    assert trees == 3159
+    assert len(calls) <= 2 * trees
 
 
 def test_trees_are_trees_and_distinct():

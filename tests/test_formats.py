@@ -13,7 +13,7 @@ from csfkit import (
     parse_edge_list,
     parse_graph6,
 )
-from helpers import random_tree
+from helpers import format_graph6_pairwise, random_tree
 
 P4_TEXT = "4 3\n0 1\n1 2\n2 3\n"
 
@@ -74,6 +74,24 @@ def test_graph6_larger_n():
     t = random_tree(rng, 80)
     g = Graph(t.n, t.edges)
     assert parse_graph6(format_graph6(g)) == g
+
+
+def test_graph6_matches_pairwise_encoder():
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            assert format_graph6(t) == format_graph6_pairwise(t)
+    for n in range(3, 9):
+        for g in enumerate_unicyclic(n):
+            assert format_graph6(g) == format_graph6_pairwise(g)
+    # 63 and up take the four-character size header
+    rng = random.Random(42)
+    for n in (0, 1, 2, 62, 63, 64):
+        pairs = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for v in range(n) for u in range(v) if rng.random() < 0.3]
+        rng.shuffle(pairs)
+        g = Graph(n, pairs)
+        assert format_graph6(g) == format_graph6_pairwise(g)
+        assert parse_graph6(format_graph6(g)) == g
 
 
 def test_graph6_rejects_garbage():
