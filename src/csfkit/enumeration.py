@@ -80,17 +80,6 @@ def _free_levels(n):
                 seq[n - h - 1:] = range(2, h + 3)
 
 
-def _edges_from_levels(levels):
-    # parent of vertex i is the last vertex seen one level up
-    last = [0] * (len(levels) + 1)
-    edges = []
-    for i, d in enumerate(levels):
-        if i:
-            edges.append((last[d - 1], i))
-        last[d] = i
-    return edges
-
-
 def enumerate_trees(n: int):
     """Yield one representative per isomorphism class of free trees on n
     vertices (1 <= n <= 22)."""
@@ -99,7 +88,7 @@ def enumerate_trees(n: int):
     if n > TREE_CAP:
         raise CapacityError(f"tree enumeration capped at n = {TREE_CAP}")
     for levels in _free_levels(n):
-        yield Tree(n, _edges_from_levels(levels))
+        yield Tree.from_levels(levels)
 
 
 def classify(t: Tree) -> str:

@@ -11,7 +11,7 @@ length and zero padding so that parse/format round-trips exactly.
 """
 
 from .errors import GraphParseError
-from .graphs import Graph
+from .graphs import Graph, Tree
 
 GRAPH6_HEADER = ">>graph6<<"
 MAX_ORDER = 258047  # graph6's four-character count; edge lists stop here too
@@ -115,7 +115,7 @@ def parse_graph6(text: str) -> Graph:
 
 
 def format_graph6(g: Graph) -> str:
-    if not g.is_simple():
+    if not isinstance(g, Tree) and not g.is_simple():  # a Tree was proven simple when built
         raise ValueError("graph6 cannot encode loops or multi-edges")
     n = g.n
     # one character per 6 bits of the upper triangle, column by column;

@@ -6,7 +6,8 @@ subsets everywhere are sets of edge *indices*, which is what the CSF
 subset expansion and deletion/contraction identities address.
 
 Forest and tree checks, components and contraction share one union-find
-(_find, _join) that roots each class at its smallest vertex.  Tree
+(_find, _join) that roots each class at its smallest vertex; a Tree built
+from a level sequence needs none, as its depths prove it a tree.  Tree
 queries (subtree enumeration, trunk, twigs, path counts) live here as
 functions; csf-engine and invariants consume them.  Every rooted walk
 goes through rooted_order, an iterative preorder.
@@ -212,7 +213,8 @@ def contract_edges(g: Graph, w: VertexWeighting, s):
 
 
 class Tree(Graph):
-    """n >= 1 vertices and n-1 edges closing no cycle, so connected and simple."""
+    """n >= 1 vertices and n-1 edges closing no cycle, so connected and simple;
+    Tree(n, edges) proves it by union-find, Tree.from_levels by depths."""
 
     def __init__(self, n, edges=()):
         super().__init__(n, edges)
@@ -225,6 +227,26 @@ class Tree(Graph):
             i = next(i for i, (u, v) in enumerate(self.edges) if not _join(parent, u, v))
             raise NotATreeError(f"edge {i} {self.edges[i]} closes a cycle, so the "
                                 f"{n - 1} edges cannot join all {n} vertices")
+
+    @classmethod
+    def from_levels(cls, levels):
+        """The tree of a level sequence (preorder depths, the root at 1):
+        vertex i hangs from the last vertex one level above it.  Depths
+        that start at 1 and then stay within 2..(previous depth + 1) prove
+        it a tree, so no union-find check runs."""
+        n = len(levels)
+        if not n or levels[0] != 1:
+            raise NotATreeError(f"a level sequence starts at depth 1, got {list(levels)!r}")
+        edges, last = [], [0] * (n + 1)  # last[d]: latest vertex at depth d
+        for i in range(1, n):
+            d = levels[i]
+            if not 2 <= d <= levels[i - 1] + 1:
+                raise NotATreeError(f"depth {d} of vertex {i} is not in 2..{levels[i - 1] + 1}")
+            edges.append((last[d - 1], i))
+            last[d] = i
+        t = cls.__new__(cls)
+        t.n, t.edges = n, tuple(edges)
+        return t
 
     @classmethod
     def from_graph(cls, g: Graph):

@@ -327,9 +327,12 @@ def omega_check(x, n: int) -> BivariatePolynomial:
     Agrees with f_polynomial_from_csf exactly; same consistency errors.
     The pieces are built for each call and dropped when it returns.
     """
-    poly = _degree_n_poly(x, n)
-    return _f_polynomial((key, piece.scalar_product(poly))
-                         for key, piece in _omega_pieces(n).items())
+    return _omega_products(_degree_n_poly(x, n), _omega_pieces(n))
+
+
+def _omega_products(poly, pieces):
+    # F_T from the scalar products of a degree-n CSF with the pieces of Omega_n
+    return _f_polynomial((key, piece.scalar_product(poly)) for key, piece in pieces.items())
 
 
 def sign_binomial_matrix(k: int, n: int, i: int):

@@ -12,6 +12,7 @@ from csfkit import (
     classify,
     enumerate_trees,
     enumerate_unicyclic,
+    format_graph6,
     small_graph_certificate,
 )
 from csfkit import enumeration
@@ -68,15 +69,25 @@ def test_one_tree_built_per_free_tree(monkeypatch):
     # rooted candidates are rejected from their level sequence, before
     # any Tree is built
     calls = []
-    real_init = Tree.__init__
+    real_from_levels = Tree.from_levels
 
-    def counting_init(self, *args, **kwargs):
+    def counting_from_levels(cls, levels):
         calls.append(1)
-        real_init(self, *args, **kwargs)
+        return real_from_levels(levels)
 
-    monkeypatch.setattr(Tree, "__init__", counting_init)
+    monkeypatch.setattr(Tree, "from_levels", classmethod(counting_from_levels))
     assert len(list(enumerate_trees(10))) == 106
     assert len(calls) == 106
+
+
+def test_trees_from_levels_match_the_validating_constructor():
+    # the level-sequence proof against the union-find one, and graph6
+    # without its simplicity check against graph6 with it
+    for n in range(1, 13):
+        for t in enumerate_trees(n):
+            checked = Tree(n, t.edges)
+            assert t == checked and t.edges == checked.edges
+            assert format_graph6(t) == format_graph6(Graph(t.n, t.edges))
 
 
 def test_exhaustive_prufer_cross_check():

@@ -129,6 +129,22 @@ def test_tree_validation():
     assert Tree.from_graph(Graph(2, [(0, 1)])).leaves() == [0, 1]
 
 
+@pytest.mark.parametrize("levels", [[], [2], [1, 1], [1, 3], [1, 2, 4]])
+def test_from_levels_refuses_a_sequence_that_is_not_a_tree(levels):
+    with pytest.raises(NotATreeError):
+        Tree.from_levels(levels)
+
+
+@pytest.mark.parametrize("levels, edges", [
+    ([1], ()),
+    ([1, 2], ((0, 1),)),
+    ([1, 2, 3, 2], ((0, 1), (1, 2), (0, 3))),
+])
+def test_from_levels_hangs_each_vertex_from_the_last_one_level_up(levels, edges):
+    t = Tree.from_levels(levels)
+    assert isinstance(t, Tree) and t.n == len(levels) and t.edges == edges
+
+
 @pytest.mark.parametrize("n, edges, named", [
     (3, [(0, 1), (2, 2)], "edge 1 (2, 2)"),  # a loop
     (3, [(0, 1), (1, 0)], "edge 1 (1, 0)"),  # a repeated pair
