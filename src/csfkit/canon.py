@@ -1,11 +1,9 @@
-"""Canonical forms: AHU certificates for trees, and a small-graph
+"""Canonical forms: level sequences for trees, and a small-graph
 canonicalizer for multigraphs with optional vertex colors.
 
-Tree certificates are plain AHU strings, exact and linear-ish: root at
-the center (both centers for bicentered trees, keeping the lexicographic
-minimum) and encode each rooted subtree as a parenthesization with
-sorted children, bottom-up along graphs.rooted_order.  Two trees get
-equal certificates iff they are isomorphic.
+A tree's certificate is its level sequence as the free-tree walk
+(enumeration.py) yields it; equal iff the trees are isomorphic, and
+Tree.from_levels of it is a canonical labelling.
 
 The small-graph canonicalizer is an individualization-refinement search
 (color refinement, then branch on the first non-singleton class), i.e.
@@ -24,40 +22,45 @@ SMALL_GRAPH_CAP = 12
 
 
 def tree_centers(t: Graph):
-    """The one or two middle vertices of a tree: the middle of a longest
-    path, found by walking to a farthest vertex and back."""
+    """The one or two middle vertices of a tree: the last left when its
+    leaves are stripped off, a layer at a time."""
     adj = t.adjacency_sets()
-    far = 0
-    for _ in range(2):
-        order, parent = rooted_order(adj, far)
-        depth = [0] * len(adj)
+    layer, left = [v for v, a in enumerate(adj) if len(a) <= 1], t.n
+    while left > 2:  # no two leaves are adjacent, so each has one neighbour left
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            u = adj[v].pop()
+            adj[u].remove(v)
+            if len(adj[u]) == 1:
+                nxt.append(u)
+        layer = nxt
+    return sorted(layer)
+
+
+def centre_rooting_kept(levels, split):
+    """The free-tree walk's keep test (enumeration.py); split ends the first child's subtree."""
+    left = [d - 1 for d in levels[1:split]]
+    rest = levels[:1] + levels[split:]
+    return (max(left), len(left), left) <= (max(rest), len(rest), rest)
+
+
+def canonical_certificate(t: Tree) -> tuple:
+    """The tree's level sequence as the free-tree walk yields it: rooted at
+    a centre, each vertex's child sequences in descending order."""
+    t = Tree.from_graph(t)  # a cycle has no leaves to strip
+    adj = t.adjacency_sets()
+    for c in tree_centers(t):
+        order, parent = rooted_order(adj, c)
+        seq = {c: [1]}  # each vertex's depth, then its children's sequences
         for v in order[1:]:
-            depth[v] = depth[parent[v]] + 1
-        start, far = far, max(order, key=depth.__getitem__)
-    path = [far]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    k = len(path) - 1
-    return sorted(path[k // 2:(k + 1) // 2 + 1])
-
-
-def rooted_code(adj, root) -> str:
-    """AHU parenthesization of the tree rooted at root, children sorted.
-
-    Built in reversed preorder, so every child's code exists before its
-    parent's.
-    """
-    order, parent = rooted_order(adj, root)
-    code = {}
-    for v in reversed(order):
-        code[v] = "(" + "".join(sorted(code.pop(u) for u in adj[v] if u != parent[v])) + ")"
-    return code[root]
-
-
-def canonical_certificate(t: Tree) -> str:
-    """Center-rooted AHU code of a tree; equal iff the trees are isomorphic."""
-    adj = t.adjacency_sets()
-    return min(rooted_code(adj, c) for c in tree_centers(t))
+            seq[v] = [seq[parent[v]][0] + 1]
+        for v in reversed(order):  # every child finished before its parent
+            for kid in sorted((seq.pop(u) for u in adj[v] if u != parent[v]), reverse=True):
+                seq[v] += kid
+        levels = seq[c]  # the first child's subtree ends at the next 2, or at the end
+        if len(levels) == 1 or centre_rooting_kept(levels, (levels + [2]).index(2, 2)):
+            return tuple(levels)
 
 
 def _refine(n, adjmult, loops, col):

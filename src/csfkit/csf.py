@@ -28,8 +28,8 @@ a multiset of component weights is one int whose field w, b =
 n.bit_length() + 1 bits wide, counts the components of weight w.  No
 field can exceed the n components of an n-vertex graph, so merging
 components is one int addition that never carries between fields.
-_decode_counts turns each distinct key into its partition once, dropping
-field 0 (zero-weight components, or the tree DP's open size, 0 by then).
+_partition turns a key into its partition, dropping field 0 (zero-weight
+components, or the tree DP's open size, 0 by then).
 
 Subset-expansion strategy (documented choice): a depth-first include /
 exclude walk over edge indices carrying an incremental union-find with
@@ -88,19 +88,15 @@ class CsfResult:
         return f"CsfResult(poly={self.poly!r}, source_order={self.source_order!r})"
 
 
-def _decode_counts(keys, b):
-    """{partition: summed count} of packed keys of field width b, zero
-    sums dropped; keys that differ only in field 0 share a partition."""
-    counts = {}
-    for k, c in keys.items():
-        lam, k = (), k >> b
-        while k:  # peel the highest nonzero field: the largest part left
-            f = (k.bit_length() - 1) // b
-            m = k >> f * b
-            lam += (f + 1,) * m
-            k -= m << f * b
-        counts[lam] = counts.get(lam, 0) + c
-    return {lam: c for lam, c in counts.items() if c}
+def _partition(k, b):
+    """The partition of packed key k of field width b, field 0 dropped."""
+    lam, k = (), k >> b
+    while k:  # peel the highest nonzero field: the largest part left
+        f = (k.bit_length() - 1) // b
+        m = k >> f * b
+        lam += (f + 1,) * m
+        k -= m << f * b
+    return lam
 
 
 def _subset_expansion(n, edges, weights):
@@ -151,7 +147,11 @@ def _subset_expansion(n, edges, weights):
         rootw[ru] = wu
 
     walk(0, 1, sum(1 << w * b for w in weights))
-    return _decode_counts(acc, b)
+    counts = {}
+    for k, c in acc.items():  # keys that differ only in field 0 share a partition
+        lam = _partition(k, b)
+        counts[lam] = counts.get(lam, 0) + c
+    return {lam: c for lam, c in counts.items() if c}
 
 
 def csf_power_sum(g: Graph) -> CsfResult:
@@ -224,52 +224,50 @@ def rooted_product_fold(t: Graph, seed, options):
     A state is a map {packed key: count}; vertex v starts at {seed[v]: 1}.
     In reversed preorder every child's state is finished before its
     parent's, and options(state) turns it into the list of (key, count)
-    choices the child offers its parent.  The merge adds each parent key
-    to each option key and multiplies their counts; the callers' keys are
-    nonnegative ints whose fields never carry, so an addition merges
-    fields.  Each merge is charged (parent keys + 1) x options x
-    (1 + w // 256) units before it runs, w the bit length of the widest
-    key it can build (the +1 pays for building the options, w for adding
-    wide ints and holding them); CapacityError once the sum passes
-    TREE_DP_WORK_CAP.
+    choices the child offers its parent, merged shortest list first.  The
+    merge adds each parent key to each option key and multiplies their
+    counts; the callers' keys are nonnegative ints whose fields never
+    carry, so an addition merges fields.  Each merge is charged (parent
+    keys + 1) x options x (1 + w // 256) units before it runs, w the bit
+    length of the widest key it can build (the +1 pays for building the
+    options, w for adding wide ints and holding them); CapacityError once
+    the sum passes TREE_DP_WORK_CAP.
     """
     order, parent = rooted_order(t.adjacency_sets(), 0)
-    state = [{k: 1} for k in seed]
-    top = list(seed)  # the largest key each state can hold
-    work = 0
-    for v in reversed(order[1:]):
-        p = parent[v]
-        opts = options(state[v])
-        state[v] = None
-        sp = state[p]
-        top[p] += max(opts)[0]
-        work += (len(sp) + 1) * len(opts) * (1 + top[p].bit_length() // 256)
-        if work > TREE_DP_WORK_CAP:
-            raise CapacityError(f"tree DP capped at {TREE_DP_WORK_CAP} merge units")
-        nxt = {}
-        get = nxt.get
-        for k1, c1 in sp.items():
-            for k2, c2 in opts:
-                k = k1 + k2
-                nxt[k] = get(k, 0) + c1 * c2
-        state[p] = nxt
-    return state[0]
+    offered, work = {}, 0  # offered[p]: the option lists of p's finished children
+    for v in reversed(order):
+        sv, top = {seed[v]: 1}, seed[v]  # top: the largest key sv can hold
+        for opts in sorted(offered.pop(v, ()), key=len):
+            top += max(opts)[0]
+            work += (len(sv) + 1) * len(opts) * (1 + top.bit_length() // 256)
+            if work > TREE_DP_WORK_CAP:
+                raise CapacityError(f"tree DP capped at {TREE_DP_WORK_CAP} merge units")
+            nxt = {}
+            get = nxt.get
+            for k1, c1 in sv.items():
+                for k2, c2 in opts:
+                    k = k1 + k2
+                    nxt[k] = get(k, 0) + c1 * c2
+            sv = nxt
+        if v:  # not the root, vertex 0
+            offered.setdefault(parent[v], []).append(options(sv))
+    return sv
 
 
-def _tree_partition_counts(t: Graph):
-    """{pi(A): |{A}|} over the 2^(n-1) edge subsets of a tree.
+def _tree_terms(t: Graph):
+    """{pi(A): (-1)^|A| |{A}|} over the 2^(n-1) edge subsets of a tree.
 
     The fold's state at a vertex counts the edge subsets of its subtree
     by (size of the still-open component containing the vertex, multiset
-    of completed component sizes); signs follow from the part count,
-    since |A| = n - l(pi(A)).  A state is a packed key (see the module
-    docstring) whose field 0 holds the open size instead.  The open size
-    plus the closed parts of a subtree's state add up to its order, so a
-    merge of two disjoint subtrees never carries.  A child edge is either
-    kept (the child's key k as it is) or cut (close(k), which moves the
-    open size s into field s); cut keys that coincide are summed.  The
-    root's states are closed the same way, which empties field 0, and
-    decoded by _decode_counts.
+    of completed component sizes).  A state is a packed key (see the
+    module docstring) whose field 0 holds the open size instead.  The
+    open size plus the closed parts of a subtree's state add up to its
+    order, so a merge of two disjoint subtrees never carries.  A child
+    edge is either kept (the child's key k as it is) or cut (close(k),
+    which moves the open size s into field s); cut keys that coincide are
+    summed.  The root's state is closed the same way, which empties field
+    0, so each closed key k is one partition: one pass decodes it and signs
+    its count by (-1)^|A|, |A| = n - l, l = k % mask (its fields add to l <= n < mask).
     """
     n = t.n
     b = n.bit_length() + 1
@@ -286,16 +284,14 @@ def _tree_partition_counts(t: Graph):
     def keep_or_cut(keys):
         return [*keys.items(), *close(keys).items()]
 
-    return _decode_counts(close(rooted_product_fold(t, [1] * n, keep_or_cut)), b)
+    root = close(rooted_product_fold(t, [1] * n, keep_or_cut))
+    return {_partition(k, b): -c if (n - k % mask) % 2 else c for k, c in root.items()}
 
 
 def csf_tree(t: Graph) -> CsfResult:
     """X_T for a tree, by the rooted component-splitting DP."""
     t = Tree.from_graph(t)
-    n = t.n
-    terms = {lam: (c if (n - len(lam)) % 2 == 0 else -c)
-             for lam, c in _tree_partition_counts(t).items()}
-    return CsfResult(_raw(terms), n)
+    return CsfResult(_raw(_tree_terms(t)), t.n)
 
 
 def csf_graph(g: Graph):

@@ -12,22 +12,24 @@ McKay ("Constant time generation of free trees", SIAM J. Comput. 1986).
 Split a sequence into the first child's subtree ``left`` and the root
 with its other subtrees ``rest``.  The root is a centre iff ``rest`` is
 at least as tall as ``left``; of a bicentral tree's two centre rootings
-the one with ``(len(left), left) <= (len(rest), rest)`` is kept, so each
-kept sequence is one free tree.  After a kept sequence the walk takes
-the successor.  After a rejected one it jumps: every successor that
-changes only ``rest`` fails too, so it steps once at the last vertex p
-of ``left``, and if p sat deeper than 3 (the new ``left`` then runs to
-the end) it sets the last h + 1 entries to 2, 3, ..., h + 2, h the new
-``left``'s height: the least ``rest`` that can balance it.  Each free
-tree costs one successor step and at most one jump.
+the one with ``(len(left), left) <= (len(rest), rest)`` is kept
+(canon.centre_rooting_kept), so each kept sequence is one free tree.
+After a kept sequence the walk takes the successor.  After a rejected
+one it jumps: every successor that changes only ``rest`` fails too, so
+it steps once at the last vertex p of ``left``, and if p sat deeper
+than 3 (the new ``left`` then runs to the end) it sets the last h + 1
+entries to 2, 3, ..., h + 2, h the new ``left``'s height: the least
+``rest`` that can balance it.  Each free tree costs one successor step
+and at most one jump.
 
 Unicyclic graphs are produced the blunt way the small cap invites:
 add every non-edge to every tree and deduplicate by the small-graph
 canonical form.
 """
 
+from .canon import centre_rooting_kept, small_graph_certificate
 # canonical_certificate is unused here but perfbench/tracing.py wraps it by this module's name
-from .canon import canonical_certificate, small_graph_certificate  # noqa: F401
+from .canon import canonical_certificate  # noqa: F401
 from .errors import CapacityError
 from .graphs import Graph, Tree
 
@@ -35,7 +37,7 @@ TREE_CAP = 22
 UNICYCLIC_MIN, UNICYCLIC_MAX = 3, 10
 
 # Non-isomorphic free trees on 1..22 vertices (OEIS A000055); tests hold enumerate_trees
-# to them and to a brute-force oracle (Pruefer enumeration + certificate dedup).
+# to them and to a brute-force oracle (Pruefer enumeration + AHU-code dedup).
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741,
                     19320, 48629, 123867, 317955, 823065, 2144505, 5623756)
 
@@ -52,8 +54,8 @@ def _successor(seq, p):
 
 
 def _free_levels(n):
-    """Canonical level sequences of the free trees on n vertices, each
-    rooted at its (first) centre, in the order of the rooted walk."""
+    """The free trees on n vertices, each as the list of its
+    canonical_certificate, in the order of the rooted walk."""
     if n == 1:
         yield [1]
         return
@@ -61,9 +63,7 @@ def _free_levels(n):
     while True:
         # the first child's subtree ends at the next 2, or at the end
         split = (seq + [2]).index(2, 2)
-        left = [d - 1 for d in seq[1:split]]
-        rest = seq[:1] + seq[split:]
-        if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+        if centre_rooting_kept(seq, split):
             yield seq
             p = n - 1
             while seq[p] <= 2:

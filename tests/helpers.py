@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 from csfkit import Graph, Tree, VertexWeighting
+from csfkit.canon import tree_centers
 from csfkit.formats import _g6_encode_n
 from csfkit.graphs import as_forest, rooted_order
 
@@ -139,6 +140,27 @@ def random_permutation(rng: random.Random, n: int):
     perm = list(range(n))
     rng.shuffle(perm)
     return perm
+
+
+def rooted_code(adj, root) -> str:
+    """AHU parenthesization of the tree rooted at root, children sorted.
+
+    Built in reversed preorder, so every child's code exists before its
+    parent's.
+    """
+    order, parent = rooted_order(adj, root)
+    code = {}
+    for v in reversed(order):
+        code[v] = "(" + "".join(sorted(code.pop(u) for u in adj[v] if u != parent[v])) + ")"
+    return code[root]
+
+
+def ahu_certificate(t: Tree) -> str:
+    """Centre-rooted AHU code of a tree, the least over its centres; equal
+    iff the trees are isomorphic: the oracle for canon.canonical_certificate
+    and, independent of the walk's convention, for enumeration."""
+    adj = t.adjacency_sets()
+    return min(rooted_code(adj, c) for c in tree_centers(t))
 
 
 def rooted_level_sequences(n):

@@ -6,13 +6,15 @@ import pytest
 from csfkit import (
     CapacityError,
     Graph,
+    NotATreeError,
     Tree,
     are_isomorphic,
     canonical_certificate,
     enumerate_trees,
     small_graph_certificate,
 )
-from helpers import prufer_tree, random_permutation, random_tree, relabel
+from csfkit.enumeration import _free_levels
+from helpers import ahu_certificate, prufer_tree, random_permutation, random_tree, relabel
 
 
 def test_certificate_relabeling_invariance():
@@ -31,8 +33,36 @@ def test_certificate_of_long_path_needs_no_recursion():
     perm = random_permutation(random.Random(5), n)
     path = Tree(n, [(i, i + 1) for i in range(n - 1)])
     cert = canonical_certificate(path)
-    assert len(cert) == 2 * n
+    assert len(cert) == n
     assert canonical_certificate(Tree.from_graph(relabel(path, perm))) == cert
+
+
+def test_certificate_is_the_walks_level_sequence():
+    # a fixed point of every tree the walk yields; with Otter's count this
+    # shows the walk exhaustive and duplicate-free (n = 18 runs in CI)
+    for n in range(1, 17):
+        for levels in _free_levels(n):
+            assert canonical_certificate(Tree.from_levels(levels)) == tuple(levels)
+
+
+def test_certificate_agrees_with_ahu_oracle():
+    # equal certificates exactly when the AHU codes are equal, over all
+    # pairs of trees with n <= 9, each tree also under two relabellings
+    rng = random.Random(9)
+    trees = []
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            trees += [t] + [Tree.from_graph(relabel(t, random_permutation(rng, n)))
+                            for _ in range(2)]
+    certs = [(canonical_certificate(t), ahu_certificate(t)) for t in trees]
+    for (a, ahu_a), (b, ahu_b) in combinations(certs, 2):
+        assert (a == b) == (ahu_a == ahu_b)
+
+
+def test_certificate_refuses_graphs_that_are_not_trees():
+    for g in (Graph(5, [(i, (i + 1) % 5) for i in range(5)]), Graph(4, [(0, 1), (2, 3)])):
+        with pytest.raises(NotATreeError):
+            canonical_certificate(g)
 
 
 def test_certificates_separate_all_small_trees():

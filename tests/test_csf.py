@@ -25,7 +25,7 @@ from csfkit import (
     level_sum,
     subtree_derivative,
 )
-from csfkit.csf import _tree_partition_counts
+from csfkit.csf import _tree_terms
 from helpers import random_permutation, random_tree, random_weighted_multigraph
 
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -249,9 +249,10 @@ def test_tree_partition_counts_sum():
     rng = random.Random(55)
     for _ in range(20):
         t = random_tree(rng, rng.randint(1, 12))
-        counts = _tree_partition_counts(t)
-        assert sum(counts.values()) == 2 ** (t.n - 1)
-        assert all(v > 0 for v in counts.values())
+        terms = _tree_terms(t)
+        assert sum(map(abs, terms.values())) == 2 ** (t.n - 1)
+        # (-1)^|A| with |A| = n - l(pi(A)), every count nonzero
+        assert all(c * (-1) ** (t.n - len(lam)) > 0 for lam, c in terms.items())
 
 
 def test_tree_route_rejects_non_trees():

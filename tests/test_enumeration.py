@@ -8,7 +8,6 @@ from csfkit import (
     FREE_TREE_COUNTS,
     Graph,
     Tree,
-    canonical_certificate,
     classify,
     enumerate_trees,
     enumerate_unicyclic,
@@ -16,7 +15,8 @@ from csfkit import (
     small_graph_certificate,
 )
 from csfkit import enumeration
-from helpers import free_levels_by_filter, otter_free_counts, prufer_tree, random_permutation
+from helpers import (ahu_certificate, free_levels_by_filter, otter_free_counts, prufer_tree,
+                     random_permutation)
 
 # standard counts of free trees on 1..22 vertices (OEIS A000055)
 TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741,
@@ -61,7 +61,7 @@ def test_trees_are_trees_and_distinct():
         for t in enumerate_trees(n):
             assert isinstance(t, Tree)
             assert t.n == n
-            certs.add(canonical_certificate(t))
+            certs.add(ahu_certificate(t))
         assert len(certs) == TREE_COUNTS[n - 1]
 
 
@@ -91,24 +91,24 @@ def test_trees_from_levels_match_the_validating_constructor():
 
 
 def test_exhaustive_prufer_cross_check():
-    # every labeled tree arises from a Pruefer sequence, so the canonical
-    # certificates of all sequences must be exactly the enumerated set
+    # every labeled tree arises from a Pruefer sequence, so the AHU codes
+    # of all sequences must be exactly the enumerated set
     for n in range(3, 8):
         from_prufer = set()
         for seq in product(range(n), repeat=n - 2):
-            from_prufer.add(canonical_certificate(prufer_tree(list(seq))))
-        enumerated = {canonical_certificate(t) for t in enumerate_trees(n)}
+            from_prufer.add(ahu_certificate(prufer_tree(list(seq))))
+        enumerated = {ahu_certificate(t) for t in enumerate_trees(n)}
         assert from_prufer == enumerated
 
 
 def test_certificate_stability_under_relabeling():
     rng = random.Random(13)
     for t in enumerate_trees(8):
-        cert = canonical_certificate(t)
+        cert = ahu_certificate(t)
         for _ in range(10):
             perm = random_permutation(rng, t.n)
             t2 = Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
-            assert canonical_certificate(t2) == cert
+            assert ahu_certificate(t2) == cert
 
 
 def test_classify():

@@ -238,7 +238,7 @@ def test_selftest_omega_route_checks_sigma_apart_from_the_transform(monkeypatch)
 
 def test_verify_distinct_reports_colliding_trees(monkeypatch):
     # one CSF per order: every pair of trees of that order collides, and
-    # the pairs are named by sorted tree certificates
+    # the pairs are named by the sorted graph6 of each tree as enumerated
     monkeypatch.setattr(verify_module, "csf_tree",
                         lambda t: CsfResult(PPolynomial({(t.n,): 1}), t.n))
     for jobs in (1, 2):
@@ -246,12 +246,8 @@ def test_verify_distinct_reports_colliding_trees(monkeypatch):
         assert [r.tree_count for r in reports] == [1, 1, 1, 2, 3]
         assert [r.distinct_csf_count for r in reports] == [1, 1, 1, 1, 1]
         assert [r.collisions for r in reports[:3]] == [[], [], []]
-        assert reports[3].collisions == [("((())())", "(()()())")]
-        assert reports[4].collisions == [
-            ("((()())())", "((())(()))"),
-            ("((()())())", "(()()()())"),
-            ("((())(()))", "(()()()())"),
-        ]
+        assert reports[3].collisions == [("Ck", "Cs")]
+        assert reports[4].collisions == [("DkC", "Dk_"), ("DkC", "Ds_"), ("Dk_", "Ds_")]
 
 
 def _failures(results):
