@@ -29,7 +29,8 @@ n.bit_length() + 1 bits wide, counts the components of weight w.  No
 field can exceed the n components of an n-vertex graph, so merging
 components is one int addition that never carries between fields.
 _partition turns a key into its partition, dropping field 0 (zero-weight
-components, or the tree DP's open size, 0 by then).
+components, or the tree DP's open size, 0 by then).  Both callers share its
+lru_cache of 8192 (key, width) entries, room for every partition of n <= 22.
 
 Subset-expansion strategy (documented choice): a depth-first include /
 exclude walk over edge indices carrying an incremental union-find with
@@ -42,6 +43,7 @@ case (endpoints always connected), which yields the zero polynomial for
 any graph with a loop.
 """
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -88,6 +90,7 @@ class CsfResult:
         return f"CsfResult(poly={self.poly!r}, source_order={self.source_order!r})"
 
 
+@lru_cache(maxsize=8192)
 def _partition(k, b):
     """The partition of packed key k of field width b, field 0 dropped."""
     lam, k = (), k >> b

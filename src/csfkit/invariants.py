@@ -44,6 +44,7 @@ P(x) = sum over k of s_T(k,k) x^k, so they are read off a Taylor shift.
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .csf import CsfResult, rooted_product_fold
@@ -252,9 +253,9 @@ def sigma(lam, i: int, j: int, n: int) -> int:
 
 
 def _degree_n_poly(x, n):
-    # the PPolynomial of x, refused unless nonzero and homogeneous of degree n
+    # x's PPolynomial, refused unless nonzero and of degree n (CsfResult() checks its order)
     poly = x.poly if isinstance(x, CsfResult) else x
-    if not poly.is_homogeneous(n) or not poly:
+    if not poly or not ((poly is not x and x.source_order == n) or poly.is_homogeneous(n)):
         raise ConsistencyError(f"input is not a nonzero homogeneous CSF of degree {n}")
     return poly
 
@@ -276,19 +277,23 @@ def _f_polynomial(values):
 def _length_sums(poly, n):
     # rows[i] = {l: b}, b = (-1)^(n-l) a(l, i) and a(l, i) the sum of m_i(lambda) c_lambda
     # over the lambda of length l; a part that never occurs keeps {}.  Equal parts
-    # are adjacent in a partition, so each run of them is counted once
+    # are adjacent in a partition, so one scan counts each run as it ends
     rows = [{} for _ in range(n + 1)]
     for lam, c in poly.terms.items():
         length = len(lam)
         if (n - length) % 2:
             c = -c
-        k = 0
-        while k < length:
-            i = lam[k]
-            m = lam.count(i)
-            row = rows[i]
+        prev, m = lam[0] if lam else 0, 0  # m: the length of prev's run so far
+        for i in lam:
+            if i == prev:
+                m += 1
+            else:
+                row = rows[prev]
+                row[length] = row.get(length, 0) + m * c
+                prev, m = i, 1
+        if m:
+            row = rows[prev]
             row[length] = row.get(length, 0) + m * c
-            k += m
     return rows
 
 
@@ -310,29 +315,26 @@ def f_polynomial_from_csf(x, n: int) -> BivariatePolynomial:
     return _f_polynomial(values)
 
 
+@lru_cache(maxsize=1)
 def _omega_pieces(n: int):
-    # {(i, j): the (i,j)-graded piece of Omega_n, sum of sigma(lam,i,j) p_lam / z_lam}
+    # ((i, j), the (i,j)-graded piece sum of sigma(lam,i,j) p_lam / z_lam), ascending, immutable
     pieces = {(i, j): {} for i in range(1, n + 1) for j in range(0, n - i + 1)}
     for lam in partitions(n):
         z = z_of(lam)
         for i in set(lam):
             for j in range(len(lam) - 1, n - i + 1):
                 pieces[(i, j)][lam] = Fraction(sigma(lam, i, j, n), z)
-    return {key: PPolynomial(terms) for key, terms in pieces.items()}
+    return tuple((key, PPolynomial(terms)) for key, terms in pieces.items())
 
 
 def omega_check(x, n: int) -> BivariatePolynomial:
     """F_T via scalar products against Omega_n's graded pieces.
 
     Agrees with f_polynomial_from_csf exactly; same consistency errors.
-    The pieces are built for each call and dropped when it returns.
+    The pieces of the most recent order are kept for the next call.
     """
-    return _omega_products(_degree_n_poly(x, n), _omega_pieces(n))
-
-
-def _omega_products(poly, pieces):
-    # F_T from the scalar products of a degree-n CSF with the pieces of Omega_n
-    return _f_polynomial((key, piece.scalar_product(poly)) for key, piece in pieces.items())
+    poly = _degree_n_poly(x, n)
+    return _f_polynomial((key, piece.scalar_product(poly)) for key, piece in _omega_pieces(n))
 
 
 def sign_binomial_matrix(k: int, n: int, i: int):

@@ -242,14 +242,9 @@ def selftest(max_n: int = 7):
         return via_sigma == direct and f_polynomial_dp(t) == direct
     run("sigma-vs-direct", _first_failure(trees, sigma_ok))
 
-    pieces = {}  # order -> its Omega pieces, built once in this run (omega_check builds per call)
-
     def omega_ok(t):
         x = csf_tree(t)
-        if t.n not in pieces:
-            pieces[t.n] = invariants._omega_pieces(t.n)
-        via_omega = invariants._omega_products(x.poly, pieces[t.n])
-        return via_omega == invariants.f_polynomial_from_csf(x, t.n)
+        return invariants.omega_check(x, t.n) == invariants.f_polynomial_from_csf(x, t.n)
     run("omega-route", _first_failure(trees, omega_ok))
 
     def involution_ok(k, n, i):

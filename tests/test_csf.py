@@ -25,7 +25,9 @@ from csfkit import (
     level_sum,
     subtree_derivative,
 )
-from csfkit.csf import _tree_terms
+from csfkit.csf import _partition, _tree_terms
+from csfkit.partitions import partitions
+from csfkit.verify import _weighted_instances
 from helpers import random_permutation, random_tree, random_weighted_multigraph
 
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -415,3 +417,50 @@ def test_deletion_contraction_weighted_hand():
 def test_fraction_scalars_stay_exact():
     x = csf_power_sum(C4).poly
     assert (x.scale(Fraction(1, 3)) * 3) == x
+
+
+def packed(lam, b):
+    return sum(1 << part * b for part in lam)
+
+
+def test_partition_decode_is_the_same_cold_and_warm():
+    # every partition of n <= 16, packed at its width; a field-0 count is dropped
+    for warm in (False, True):
+        for n in range(1, 17):
+            b = n.bit_length() + 1
+            for lam in partitions(n):
+                if not warm:
+                    _partition.cache_clear()
+                assert _partition(packed(lam, b), b) == lam
+                assert _partition(packed(lam, b) + 3, b) == lam
+    assert _partition.cache_info().hits > 0
+
+
+def test_memo_leaves_every_csf_unchanged():
+    def routes(clear):
+        out = []
+        for t in (t for n in range(1, 11) for t in enumerate_trees(n)):
+            clear()
+            out.append(csf_tree(t))
+        for g, w in _weighted_instances():  # zero weights put counts in field 0
+            clear()
+            out.append(csf_power_sum(g))
+            clear()
+            out.append(csf_weighted(g, w))
+        return out
+
+    cold = routes(_partition.cache_clear)
+    assert routes(lambda: None) == cold
+    assert len(cold) == 201 + 12
+
+
+def test_memo_stays_within_its_bound():
+    _partition.cache_clear()
+    path30 = csf_tree(Tree(30, [(i, i + 1) for i in range(29)]))
+    assert len(path30.poly) == 5604
+    info = _partition.cache_info()
+    assert info.maxsize == 8192 and info.currsize <= info.maxsize
+    # the 6,842 partitions of 31 do not all fit next to those of 30: the oldest go
+    assert len(csf_tree(Tree(31, [(i, i + 1) for i in range(30)])).poly) == 6842
+    assert _partition.cache_info().currsize == 8192
+    assert csf_tree(Tree(30, [(i, i + 1) for i in range(29)])) == path30

@@ -11,6 +11,7 @@ from csfkit import (
     BivariatePolynomial,
     CapacityError,
     ConsistencyError,
+    CsfResult,
     Graph,
     NotATreeError,
     PPolynomial,
@@ -35,7 +36,7 @@ from csfkit import (
     subtree_polynomial,
     subtree_polynomial_dp,
 )
-from csfkit import csf
+from csfkit import csf, invariants
 from csfkit.graphs import rooted_order
 from helpers import random_permutation, random_tree, relabel
 
@@ -419,3 +420,41 @@ def test_subtree_polynomial_requires_tree():
         subtree_polynomial(Graph(3, [(0, 1), (1, 2), (0, 2)]))
     with pytest.raises(NotATreeError):
         f_polynomial_direct(Graph(3, [(0, 1)]))
+
+
+def test_an_order_n_csf_result_is_not_rescanned_but_every_refusal_stays(monkeypatch):
+    x, scans = csf_tree(P4), []
+    real = PPolynomial.is_homogeneous
+    monkeypatch.setattr(PPolynomial, "is_homogeneous",
+                        lambda self, n: scans.append(n) or real(self, n))
+    assert f_polynomial_from_csf(x, 4) == omega_check(x, 4) == f_polynomial_dp(P4)
+    assert scans == []
+    bad = [
+        (x, 3),  # a CsfResult of the wrong order
+        (x, 5),
+        (CsfResult(PPolynomial(), 3), 3),  # the zero CSF
+        (PPolynomial({(3,): 1, (2,): 1}), 3),  # a bare polynomial that is not homogeneous
+    ]
+    for y, n in bad:
+        for route in (f_polynomial_from_csf, omega_check):
+            with pytest.raises(ConsistencyError, match="nonzero homogeneous CSF of degree"):
+                route(y, n)
+
+
+def test_length_sums_count_each_run_once():
+    poly = PPolynomial({(3, 3, 2, 1, 1): 2, (4, 1, 1, 1, 1): -1, (2, 2, 2, 2, 1): 5, (9,): 7})
+    want = [{} for _ in range(10)]
+    for lam, c in poly.terms.items():
+        for i, m in Counter(lam).items():
+            sign = -1 if (9 - len(lam)) % 2 else 1
+            want[i][len(lam)] = want[i].get(len(lam), 0) + sign * m * c
+    assert invariants._length_sums(poly, 9) == want
+
+
+def test_omega_pieces_are_shared_for_the_latest_order():
+    invariants._omega_pieces.cache_clear()
+    six = invariants._omega_pieces(6)
+    assert invariants._omega_pieces(6) is six and isinstance(six, tuple)
+    assert [key for key, _ in six] == sorted(key for key, _ in six)
+    invariants._omega_pieces(7)
+    assert invariants._omega_pieces(6) is not six and invariants._omega_pieces(6) == six
