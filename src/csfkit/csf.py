@@ -28,9 +28,11 @@ a multiset of component weights is one int whose field w, b =
 n.bit_length() + 1 bits wide, counts the components of weight w.  No
 field can exceed the n components of an n-vertex graph, so merging
 components is one int addition that never carries between fields.
-_partition turns a key into its partition, dropping field 0 (zero-weight
-components, or the tree DP's open size, 0 by then).  Both callers share its
-lru_cache of 8192 (key, width) entries, room for every partition of n <= 22.
+_decode turns a key into its partition, dropping field 0 (zero-weight
+components, or the tree DP's open size, 0 by then).  A tree of order
+n <= 31 (b <= 6) decodes through _partition, _decode behind an lru_cache
+of 8192 entries (a few MB at most), as its closed keys recur across the trees
+of one order; the subset expansion and larger trees call _decode, keeping none.
 
 Subset-expansion strategy (documented choice): a depth-first include /
 exclude walk over edge indices carrying an incremental union-find with
@@ -90,8 +92,7 @@ class CsfResult:
         return f"CsfResult(poly={self.poly!r}, source_order={self.source_order!r})"
 
 
-@lru_cache(maxsize=8192)
-def _partition(k, b):
+def _decode(k, b):
     """The partition of packed key k of field width b, field 0 dropped."""
     lam, k = (), k >> b
     while k:  # peel the highest nonzero field: the largest part left
@@ -100,6 +101,10 @@ def _partition(k, b):
         lam += (f + 1,) * m
         k -= m << f * b
     return lam
+
+
+# the closed keys of the trees of one order come from its p(n) partitions
+_partition = lru_cache(maxsize=8192)(_decode)
 
 
 def _subset_expansion(n, edges, weights):
@@ -152,7 +157,7 @@ def _subset_expansion(n, edges, weights):
     walk(0, 1, sum(1 << w * b for w in weights))
     counts = {}
     for k, c in acc.items():  # keys that differ only in field 0 share a partition
-        lam = _partition(k, b)
+        lam = _decode(k, b)
         counts[lam] = counts.get(lam, 0) + c
     return {lam: c for lam, c in counts.items() if c}
 
@@ -288,7 +293,8 @@ def _tree_terms(t: Graph):
         return [*keys.items(), *close(keys).items()]
 
     root = close(rooted_product_fold(t, [1] * n, keep_or_cut))
-    return {_partition(k, b): -c if (n - k % mask) % 2 else c for k, c in root.items()}
+    decode = _partition if b <= 6 else _decode
+    return {decode(k, b): -c if (n - k % mask) % 2 else c for k, c in root.items()}
 
 
 def csf_tree(t: Graph) -> CsfResult:

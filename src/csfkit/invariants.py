@@ -45,6 +45,7 @@ P(x) = sum over k of s_T(k,k) x^k, so they are read off a Taylor shift.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import comb
 
 from .csf import CsfResult, rooted_product_fold
@@ -254,8 +255,9 @@ def sigma(lam, i: int, j: int, n: int) -> int:
 
 def _degree_n_poly(x, n):
     # x's PPolynomial, refused unless nonzero and of degree n (CsfResult() checks its order)
-    poly = x.poly if isinstance(x, CsfResult) else x
-    if not poly or not ((poly is not x and x.source_order == n) or poly.is_homogeneous(n)):
+    is_csf = isinstance(x, CsfResult)
+    poly = x.poly if is_csf else x
+    if not poly or not ((is_csf and x.source_order == n) or poly.is_homogeneous(n)):
         raise ConsistencyError(f"input is not a nonzero homogeneous CSF of degree {n}")
     return poly
 
@@ -277,23 +279,15 @@ def _f_polynomial(values):
 def _length_sums(poly, n):
     # rows[i] = {l: b}, b = (-1)^(n-l) a(l, i) and a(l, i) the sum of m_i(lambda) c_lambda
     # over the lambda of length l; a part that never occurs keeps {}.  Equal parts
-    # are adjacent in a partition, so one scan counts each run as it ends
+    # are adjacent in a partition, so one scan counts each run of them
     rows = [{} for _ in range(n + 1)]
     for lam, c in poly.terms.items():
         length = len(lam)
         if (n - length) % 2:
             c = -c
-        prev, m = lam[0] if lam else 0, 0  # m: the length of prev's run so far
-        for i in lam:
-            if i == prev:
-                m += 1
-            else:
-                row = rows[prev]
-                row[length] = row.get(length, 0) + m * c
-                prev, m = i, 1
-        if m:
-            row = rows[prev]
-            row[length] = row.get(length, 0) + m * c
+        for i, run in groupby(lam):
+            row = rows[i]
+            row[length] = row.get(length, 0) + sum(1 for _ in run) * c
     return rows
 
 

@@ -437,21 +437,30 @@ def test_partition_decode_is_the_same_cold_and_warm():
 
 
 def test_memo_leaves_every_csf_unchanged():
-    def routes(clear):
+    def trees(clear):
         out = []
         for t in (t for n in range(1, 11) for t in enumerate_trees(n)):
             clear()
             out.append(csf_tree(t))
-        for g, w in _weighted_instances():  # zero weights put counts in field 0
-            clear()
-            out.append(csf_power_sum(g))
-            clear()
-            out.append(csf_weighted(g, w))
         return out
 
-    cold = routes(_partition.cache_clear)
-    assert routes(lambda: None) == cold
-    assert len(cold) == 201 + 12
+    cold = trees(_partition.cache_clear)
+    assert trees(lambda: None) == cold
+    assert len(cold) == 201
+
+
+def test_wide_keys_bypass_the_memo():
+    # the subset expansion's keys grow with the total weight, and a tree past
+    # order 31 has wider fields: both decode without keeping anything
+    csf_tree(P3)
+    before = _partition.cache_info().currsize
+    for g, w in _weighted_instances():  # zero weights put counts in field 0
+        assert csf_weighted(g, w).poly == csf_deletion_contraction(g, w).poly
+        csf_power_sum(g)
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert len(csf_weighted(c4, VertexWeighting((10**5, 1, 10**5, 2))).poly) > 0
+    assert len(csf_tree(Tree(200, [(0, i) for i in range(1, 200)])).poly) == 200
+    assert _partition.cache_info().currsize == before
 
 
 def test_memo_stays_within_its_bound():

@@ -221,10 +221,12 @@ def test_selftest_detects_injected_fault(monkeypatch):
     assert parse_graph6(graph6).n >= 1
 
 
-def test_selftest_omega_route_checks_sigma_apart_from_the_transform(monkeypatch):
+def test_selftest_omega_route_checks_sigma_apart_from_the_transform(monkeypatch, request):
     # the transform never evaluates sigma, so a wrong sigma(lambda, 1, 1)
-    # fails the Omega route alone
+    # fails the Omega route alone; the Omega pieces built with it are dropped
     real_sigma = invariants.sigma
+    invariants._omega_pieces.cache_clear()
+    request.addfinalizer(invariants._omega_pieces.cache_clear)
 
     def broken_sigma(lam, i, j, n):
         s = real_sigma(lam, i, j, n)
