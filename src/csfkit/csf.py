@@ -35,14 +35,16 @@ of 8192 entries (a few MB at most), as its closed keys recur across the trees
 of one order; the subset expansion and larger trees call _decode, keeping none.
 
 Subset-expansion strategy (documented choice): a depth-first include /
-exclude walk over edge indices carrying an incremental union-find with
+exclude walk over the edges carrying an incremental union-find with
 rollback and the packed key of the current components.  When an edge's
 endpoints are already connected, the walk returns immediately: pairing
 each remaining subset B with B xor {e} shows the two halves cancel
 exactly, since adding e never changes components but flips the sign.
-Only acyclic subsets therefore reach a leaf.  Loops are the degenerate
-case (endpoints always connected), which yields the zero polynomial for
-any graph with a loop.
+In any edge order the leaves are the subsets with no broken circuit
+(Whitney; Stanley 1995, Thm 2.9); breadth-first order puts an edge that
+closes a cycle right after its path, so fewer internal nodes are walked.
+Loops are the degenerate case (endpoints always connected), which
+yields the zero polynomial for any graph with a loop.
 """
 
 from functools import lru_cache
@@ -114,8 +116,8 @@ def _subset_expansion(n, edges, weights):
     weights wu and wv adds (1 << (wu + wv) * b) - (1 << wu * b) - (1 << wv * b).
     """
     m = len(edges)
-    # The walk recurses once per edge and reaches one leaf per acyclic
-    # subset: at most n - 1 edges, none a loop.
+    # The walk recurses once per edge.  Its leaves have no broken circuit, so are
+    # acyclic: the acyclic subsets, of at most n - 1 links each, bound their count.
     if m > SUBSET_DEPTH_CAP:
         raise CapacityError(f"edge-subset expansion capped at {SUBSET_DEPTH_CAP} edges, got {m}")
     # A leaf costs 1 + (key bits) // 256 units, a key being (W + 1) * b bits for total weight W
@@ -125,6 +127,20 @@ def _subset_expansion(n, edges, weights):
         leaves += comb(links, k) * width
         if leaves > SUBSET_LEAF_CAP:
             raise CapacityError(f"subset expansion capped at {SUBSET_LEAF_CAP} subset units")
+    # Edges by (later, earlier) endpoint position in a breadth-first search over
+    # the links, one component at a time from its smallest unvisited vertex
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    pos = {}
+    for root in range(n):
+        queue = [root]
+        for u in queue:  # the list grows as the search goes; u's first visit places it
+            if u not in pos:
+                pos[u] = len(pos)
+                queue += adj[u]
+    edges = sorted(edges, key=lambda e: sorted((pos[e[0]], pos[e[1]]), reverse=True))
     parent = list(range(n))
     size = [1] * n
     rootw = list(weights)

@@ -45,7 +45,6 @@ P(x) = sum over k of s_T(k,k) x^k, so they are read off a Taylor shift.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from math import comb
 
 from .csf import CsfResult, rooted_product_fold
@@ -278,16 +277,16 @@ def _f_polynomial(values):
 
 def _length_sums(poly, n):
     # rows[i] = {l: b}, b = (-1)^(n-l) a(l, i) and a(l, i) the sum of m_i(lambda) c_lambda
-    # over the lambda of length l; a part that never occurs keeps {}.  Equal parts
-    # are adjacent in a partition, so one scan counts each run of them
+    # over the lambda of length l; a part that never occurs keeps {}.  Each
+    # occurrence of part i adds c once, so m_i(lambda) is never counted
     rows = [{} for _ in range(n + 1)]
     for lam, c in poly.terms.items():
         length = len(lam)
         if (n - length) % 2:
             c = -c
-        for i, run in groupby(lam):
+        for i in lam:
             row = rows[i]
-            row[length] = row.get(length, 0) + sum(1 for _ in run) * c
+            row[length] = row.get(length, 0) + c
     return rows
 
 

@@ -160,11 +160,11 @@ class PPolynomial:
         a, b = self._terms, other._terms
         if len(b) < len(a):
             a, b = b, a
-        total = Fraction(0)
+        total = 0
         for parts, c in a.items():
             d = b.get(parts)
             if d is not None:
-                total += Fraction(c) * Fraction(d) * z_of(parts)
+                total += c * d * z_of(parts)
         return _as_exact(total)
 
     def degree(self):

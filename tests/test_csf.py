@@ -20,6 +20,7 @@ from csfkit import (
     csf_tree,
     csf_weighted,
     enumerate_trees,
+    enumerate_unicyclic,
     forest_level_value,
     inclusion_exclusion_rhs,
     level_sum,
@@ -212,6 +213,46 @@ def test_packed_subset_walk_matches_deletion_contraction():
     assert [csf_weighted(g, w).poly for g, w in cases[:6]] == [
         poly({(): 1}), poly({(2,): 1}), poly({(): 1}), *[PPolynomial()] * 3]
     assert csf_weighted(*cases[6]).poly == poly({(1000, 999): 1, (1999,): -1})
+
+
+def acyclic_orientations(g):
+    """Brute force over the 2^m orientations; a loop is a directed cycle."""
+    count = 0
+    for mask in range(1 << len(g.edges)):
+        arcs = [(v, u) if mask >> k & 1 else (u, v) for k, (u, v) in enumerate(g.edges)]
+        indeg = [0] * g.n
+        for _, v in arcs:
+            indeg[v] += 1
+        sources = [v for v in range(g.n) if not indeg[v]]
+        for u in sources:  # Kahn's peeling reaches every vertex iff no arc lies on a cycle
+            for a, v in arcs:
+                if a == u:
+                    indeg[v] -= 1
+                    if not indeg[v]:
+                        sources.append(v)
+        count += len(sources) == g.n
+    return count
+
+
+def test_subset_walk_counts_acyclic_orientations():
+    """The chromatic polynomial is chi_G(k) = sum of c_lambda k^l(lambda), and
+    c_lambda has the sign (-1)^(n - l(lambda)), so the sum of |c_lambda| is
+    (-1)^n chi_G(-1), Stanley's count of acyclic orientations.  The edge
+    order the walk is given must not matter."""
+    def complete(n):
+        return Graph(n, [(u, v) for v in range(n) for u in range(v)])
+
+    graphs = [g for n in range(3, 8) for g in enumerate_unicyclic(n)]
+    graphs += [complete(4), complete(5)]
+    graphs += [C4, Graph(4, [*C4.edges, (1, 0)]), Graph(4, [*C4.edges, (2, 2)])]
+    for g in graphs:
+        for edges in (g.edges, g.edges[::-1]):
+            h = Graph(g.n, edges)
+            total = sum(abs(c) for c in csf_power_sum(h).poly.terms.values())
+            assert total == acyclic_orientations(h), h.edges
+    assert acyclic_orientations(complete(4)) == 24
+    assert acyclic_orientations(graphs[-2]) == acyclic_orientations(C4) == 14
+    assert acyclic_orientations(graphs[-1]) == 0
 
 
 def test_trusted_term_maps_are_canonical():

@@ -240,7 +240,7 @@ def test_both_routes_report_the_same_first_bad_coefficient():
 
 
 def test_flat_sigma_sums_match_both_other_routes():
-    for n in range(1, 10):
+    for n in range(1, 12):
         for t in enumerate_trees(n):
             x = csf_tree(t)
             assert f_polynomial_from_csf(x, n) == omega_check(x, n) == f_polynomial_dp(t)
@@ -286,6 +286,21 @@ def test_transform_memory_stays_linear_on_a_star():
 def test_transform_accepts_bare_polynomial():
     x = csf_tree(P4)
     assert f_polynomial_from_csf(x.poly, 4) == f_polynomial_direct(P4)
+
+
+def test_transform_keeps_a_length_sum_that_cancels():
+    # X_A + X_B - X_C over three 7-vertex trees: its length sum of part 3 at
+    # length 3 cancels to 0, and the transform, linear in its input, must
+    # still give F_A + F_B - F_C, as omega_check does
+    a, b, c = (Tree(7, edges) for edges in (
+        [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5), (0, 6)],
+        [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (0, 6)],
+        [(0, 1), (1, 2), (1, 3), (1, 4), (0, 5), (5, 6)]))
+    y = csf_tree(a).poly + csf_tree(b).poly - csf_tree(c).poly
+    assert invariants._length_sums(y, 7)[3][3] == 0
+    want = Counter(f_polynomial_dp(a).terms) + Counter(f_polynomial_dp(b).terms)
+    want.subtract(f_polynomial_dp(c).terms)
+    assert f_polynomial_from_csf(y, 7) == omega_check(y, 7) == BivariatePolynomial(want)
 
 
 def test_degree_row_of_f():
