@@ -50,6 +50,7 @@ yields the zero polynomial for any graph with a loop.
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 from .canon import are_isomorphic
 from .errors import CapacityError, NotATreeError
@@ -62,33 +63,21 @@ SUBSET_DEPTH_CAP = 500
 TREE_DP_WORK_CAP = 8_000_000
 
 
-class CsfResult:
-    """A CSF plus the degree it should be homogeneous of; immutable."""
+class CsfResult(tuple):
+    """A CSF plus the degree it should be homogeneous of: an immutable (poly, source_order)."""
 
-    __slots__ = ("poly", "source_order")
+    __slots__ = ()
 
-    def __init__(self, poly: PPolynomial, source_order: int):
+    def __new__(cls, poly: PPolynomial, source_order: int):
         if not poly.is_homogeneous(source_order):
             raise ValueError("CSF is not homogeneous of the stated order")
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "source_order", source_order)
+        return tuple.__new__(cls, (poly, source_order))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CsfResult is immutable")
+    poly = property(itemgetter(0))
+    source_order = property(itemgetter(1))
 
-    def __delattr__(self, name):
-        raise AttributeError("CsfResult is immutable")
-
-    def __reduce__(self):  # pickle and copy rebuild via the constructor, not __setattr__
-        return (CsfResult, (self.poly, self.source_order))
-
-    def __eq__(self, other):
-        if not isinstance(other, CsfResult):
-            return NotImplemented
-        return (self.poly, self.source_order) == (other.poly, other.source_order)
-
-    def __hash__(self):
-        return hash((self.poly, self.source_order))
+    def __getnewargs__(self):  # pickle and copy rebuild through __new__, so check again
+        return tuple(self)
 
     def __repr__(self):
         return f"CsfResult(poly={self.poly!r}, source_order={self.source_order!r})"

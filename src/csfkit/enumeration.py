@@ -83,7 +83,7 @@ def _free_levels(n):
 def enumerate_trees(n: int):
     """Yield one representative per isomorphism class of free trees on n
     vertices (1 <= n <= 22)."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("n must be a positive integer")
     if n > TREE_CAP:
         raise CapacityError(f"tree enumeration capped at n = {TREE_CAP}")

@@ -155,41 +155,29 @@ class Graph:
         return tuple(counts.get(i, 0) for i in range(1, top + 1))
 
 
-class VertexWeighting:
-    """Nonnegative integer weight per vertex."""
+class VertexWeighting(tuple):
+    """Nonnegative integer weight per vertex: an immutable tuple of them."""
 
-    __slots__ = ("weights",)
+    __slots__ = ()
 
-    def __init__(self, weights):
-        ws = tuple(weights)
+    def __new__(cls, weights):
+        ws = tuple.__new__(cls, weights)
         for w in ws:
             if not isinstance(w, int) or isinstance(w, bool) or w < 0:
                 raise ValueError(f"weights must be nonnegative integers, got {w!r}")
-        self.weights = ws
+        return ws
+
+    weights = property(tuple)
 
     @classmethod
     def unit(cls, n):
         return cls((1,) * n)
 
-    def __len__(self):
-        return len(self.weights)
-
-    def __getitem__(self, v):
-        return self.weights[v]
-
-    def __eq__(self, other):
-        if not isinstance(other, VertexWeighting):
-            return NotImplemented
-        return self.weights == other.weights
-
-    def __hash__(self):
-        return hash(self.weights)
-
     def __repr__(self):
-        return f"VertexWeighting({list(self.weights)!r})"
+        return f"VertexWeighting({list(self)!r})"
 
     def total(self):
-        return sum(self.weights)
+        return sum(self)
 
 
 def contract_edges(g: Graph, w: VertexWeighting, s):

@@ -6,9 +6,9 @@ nonzero exact coefficients.  The p-basis is the only representation used
 anywhere in this package; no basis conversions are performed.
 
 Exactness is a hard requirement: coefficients are ints or
-fractions.Fraction, never floats.  Integer coefficients are kept as ints
-(Python guarantees hash(n) == hash(Fraction(n)), so mixed maps compare
-and hash soundly); this is an optimization, not a semantic change.
+fractions.Fraction, never floats.  The constructor keeps integer
+coefficients as ints; arithmetic may leave a Fraction of denominator 1,
+which is sound, as Python guarantees hash(n) == hash(Fraction(n)).
 
 Canonical text serialization, used for hashing and reports: one term per
 line, "num/den : part,part,...", with terms ordered by degree ascending
@@ -85,12 +85,8 @@ class PPolynomial:
             return NotImplemented
         out = dict(self._terms)
         for parts, c in other._terms.items():
-            s = out.get(parts, 0) + c
-            if s:
-                out[parts] = s
-            else:
-                out.pop(parts, None)
-        return _raw(out)
+            out[parts] = out.get(parts, 0) + c
+        return _nonzero(out)
 
     def __neg__(self):
         return _raw({parts: -c for parts, c in self._terms.items()})
@@ -103,15 +99,7 @@ class PPolynomial:
     def scale(self, c):
         """Scalar multiple by an exact rational."""
         c = _as_exact(c)
-        if c == 0:
-            return PPolynomial()
-        out = {}
-        for parts, v in self._terms.items():
-            prod = v * c
-            if isinstance(prod, Fraction):
-                prod = _as_exact(prod)
-            out[parts] = prod
-        return _raw(out)
+        return _nonzero({parts: v * c for parts, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
@@ -122,17 +110,10 @@ class PPolynomial:
         for la, ca in self._terms.items():
             for lb, cb in other._terms.items():
                 key = merge_parts(la, lb)
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return _raw(out)
+                out[key] = out.get(key, 0) + ca * cb
+        return _nonzero(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def partial_derivative(self, j):
         """Formal partial derivative with respect to the indeterminate p_j."""
@@ -146,12 +127,8 @@ class PPolynomial:
             reduced = list(parts)
             reduced.remove(j)
             key = tuple(reduced)
-            s = out.get(key, 0) + m * c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return _raw(out)
+            out[key] = out.get(key, 0) + m * c
+        return _nonzero(out)
 
     def scalar_product(self, other):
         """Hall scalar product: <p_lam, p_mu> = z_lam [lam == mu]."""
@@ -235,6 +212,11 @@ def _raw(clean_terms) -> PPolynomial:
     poly = PPolynomial.__new__(PPolynomial)
     object.__setattr__(poly, "_terms", clean_terms)
     return poly
+
+
+def _nonzero(terms) -> PPolynomial:
+    # _raw of the nonzero terms of a dict accumulated by the ring operations
+    return _raw({parts: c for parts, c in terms.items() if c})
 
 
 ZERO = PPolynomial()

@@ -3,7 +3,7 @@ writes from them.  Only verify_distinct and `csfkit verify` load this
 module, so other commands skip dataclasses; json and pathlib load only
 when reports are written."""
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -17,15 +17,10 @@ class VerificationReport:
     config: dict = field(default_factory=dict)
 
     def to_json_dict(self):
-        return {
-            "order": self.order,
-            "class": self.graph_class,
-            "tree_count": self.tree_count,
-            "distinct_csf_count": self.distinct_csf_count,
-            "collisions": [list(pair) for pair in self.collisions],
-            "elapsed_ms": self.elapsed_ms,
-            "config": dict(self.config),
-        }
+        doc = asdict(self)
+        doc["class"] = doc.pop("graph_class")
+        doc["collisions"] = [list(pair) for pair in self.collisions]
+        return doc
 
 
 def write_reports(reports, directory):

@@ -70,12 +70,12 @@ def _tree_job(t):
 
 
 def _stream_results(n, jobs):
-    trees = enumerate_trees(n)
-    if jobs <= 1:
+    trees, workers = enumerate_trees(n), min(jobs, os.cpu_count() or 1)
+    if workers == 1:  # a one-process pool would only pickle every tree
         yield from map(_tree_job, trees)
         return
     from multiprocessing import Pool  # here, so that importing csfkit does not load it
-    with Pool(processes=min(jobs, os.cpu_count() or 1)) as pool:
+    with Pool(processes=workers) as pool:
         # imap keeps submission order, so the reduce is order-stable no
         # matter how the pool schedules the work
         yield from pool.imap(_tree_job, trees, chunksize=64)
@@ -85,14 +85,15 @@ def verify_distinct(max_n: int, jobs: int = 1):
     """Check pairwise distinctness of tree CSFs for every order <= max_n.
 
     Returns one VerificationReport per order.  Identical collision sets
-    for any jobs count; jobs = 1 runs fully in-process.
+    for any jobs count; it runs fully in-process when jobs = 1 or only
+    one core is usable.
     """
-    if not isinstance(max_n, int) or max_n < 1:
+    if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 1:
         raise ValueError("max_n must be a positive integer")
     if max_n > VERIFY_CAP:
         raise CapacityError(f"verification capped at max_n = {VERIFY_CAP}")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise ValueError("jobs must be a positive integer")
     from .reports import VerificationReport  # here, so that compute does not load dataclasses
     reports = []
     for n in range(1, max_n + 1):
@@ -173,7 +174,7 @@ def selftest(max_n: int = 7):
 
     max_n bounds the tree corpora; max_n = 1 makes most checks vacuous.
     """
-    if not isinstance(max_n, int) or max_n < 1:
+    if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 1:
         raise ValueError("max_n must be a positive integer")
     if max_n > SELFTEST_CAP:
         raise CapacityError(f"selftest capped at max_n = {SELFTEST_CAP}")

@@ -255,6 +255,30 @@ def test_subset_walk_counts_acyclic_orientations():
     assert acyclic_orientations(graphs[-1]) == 0
 
 
+def test_subset_cap_charges_at_least_the_walk_leaves():
+    """The walk's leaves are the broken-circuit-free subsets, the sum of |c_lambda|
+    of them (above).  Each is acyclic, so the count the cap charges, the subsets
+    of at most n - 1 of the m' links, bounds them."""
+    def complete(n):
+        return Graph(n, [(u, v) for v in range(n) for u in range(v)])
+
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                     + [(i + 5, (i + 2) % 5 + 5) for i in range(5)])
+    graphs = [g for n in range(3, 8) for g in enumerate_unicyclic(n)]
+    graphs += [complete(4), complete(5), complete(6), petersen]
+    graphs += [g for g, _ in _weighted_instances() if g.is_simple()]
+    counts = []
+    for g in graphs:
+        links = sum(u != v for u, v in g.edges)
+        charged = sum(comb(links, k) for k in range(min(links, g.n - 1) + 1))
+        leaves = sum(abs(c) for c in csf_power_sum(g).poly.terms.values())
+        assert leaves <= charged, g.edges
+        counts.append((leaves, charged))
+    assert len(graphs) == 54 + 4 + 2
+    # K4, K5 and K6 have n! leaves; the Petersen graph has 16,680 acyclic orientations
+    assert counts[-6:-2] == [(24, 42), (120, 386), (720, 4944), (16680, 27824)]
+
+
 def test_trusted_term_maps_are_canonical():
     # csf_tree, csf_power_sum and csf_weighted build their polynomials
     # unvalidated; the validating constructor must find nothing to change

@@ -1,4 +1,6 @@
+import copy
 import inspect
+import pickle
 import random
 import re
 import sys
@@ -117,6 +119,19 @@ def test_vertex_weighting():
     assert VertexWeighting.unit(3) == VertexWeighting((1, 1, 1))
     with pytest.raises(ValueError):
         VertexWeighting((1, -1))
+
+
+def test_vertex_weighting_is_an_immutable_tuple_that_pickles():
+    _, contracted = contract_edges(Graph(3, [(0, 1), (1, 2)]), VertexWeighting((2, 0, 1)), {0})
+    assert contracted == (2, 1)
+    for value in (VertexWeighting((2, 0, 1)), contracted):
+        assert hash(value) == hash(tuple(value)) and value.weights == tuple(value)
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert twin == value and type(twin) is VertexWeighting
+    with pytest.raises(AttributeError):
+        contracted.weights = (1, 1)
+    with pytest.raises(ValueError, match="got True"):
+        VertexWeighting((1, True))
 
 
 def test_tree_validation():

@@ -20,6 +20,7 @@ from csfkit import (
     compute_report,
     csf_hash,
     csf_power_sum,
+    enumerate_trees,
     find_collisions,
     parse_graph6,
     selftest,
@@ -31,6 +32,7 @@ from csfkit import verify as verify_module
 from csfkit.cli import main
 from csfkit.csf import CsfResult
 from csfkit.psym import PPolynomial
+from csfkit.reports import VerificationReport
 from helpers import random_permutation, random_tree, relabel
 
 TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47)
@@ -96,8 +98,23 @@ def test_verify_pool_bounded_by_cpu_count(monkeypatch):
         assert got == want
     verify_distinct(2, jobs=2)
     monkeypatch.setattr(verify_module.os, "cpu_count", lambda: None)
-    verify_distinct(1, jobs=2)
-    assert started[4:] == [2, 2, 1]
+    verify_distinct(1, jobs=2)  # an unknown core count is one core: no pool
+    assert started[4:] == [2, 2]
+
+
+def test_verify_runs_in_process_when_one_core_is_usable(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-process pool was started")
+
+    expected = [strip_elapsed(r) for r in verify_distinct(7, jobs=1)]
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 1)
+    reports = [strip_elapsed(r) for r in verify_distinct(7, jobs=2)]
+    assert len(reports) == 7
+    for want, got in zip(expected, reports):
+        assert got.pop("config") == {"max_n": 7, "jobs": 2}
+        want.pop("config")
+        assert got == want
 
 
 def test_import_does_not_load_multiprocessing():
@@ -151,6 +168,18 @@ def test_verify_distinct_validates_inputs():
         verify_distinct(21)
     with pytest.raises(ValueError):
         verify_distinct(5, jobs=0)
+
+
+@pytest.mark.parametrize("bad", [True, False, 3.0, "3", None])
+def test_orders_and_job_counts_refuse_bools_and_non_ints(bad):
+    with pytest.raises(ValueError, match="max_n must be a positive integer"):
+        verify_distinct(bad)
+    with pytest.raises(ValueError, match="jobs must be a positive integer"):
+        verify_distinct(3, jobs=bad)
+    with pytest.raises(ValueError, match="max_n must be a positive integer"):
+        selftest(bad)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        next(enumerate_trees(bad))
 
 
 def test_find_collisions_known_pair():
@@ -415,6 +444,19 @@ def test_write_reports(tmp_path):
     assert csv_lines[0] == "n,trees,distinct,collisions,ms"
     assert len(csv_lines) == 6
     assert csv_lines[4].startswith("4,2,2,0,")
+
+
+def test_report_json_dict_is_an_exact_literal():
+    config = {"max_n": 6, "jobs": 2}
+    report = VerificationReport(order=6, graph_class="trees", tree_count=6, distinct_csf_count=5,
+                                collisions=[("EQC_", "EQCW")], elapsed_ms=4, config=config)
+    doc = report.to_json_dict()
+    assert doc == {"order": 6, "class": "trees", "tree_count": 6, "distinct_csf_count": 5,
+                   "collisions": [["EQC_", "EQCW"]], "elapsed_ms": 4,
+                   "config": {"max_n": 6, "jobs": 2}}
+    assert doc["config"] is not config
+    doc["config"]["jobs"] = 1
+    assert config == {"max_n": 6, "jobs": 2}
 
 
 def test_reports_deterministic_modulo_elapsed():
