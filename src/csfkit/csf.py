@@ -36,13 +36,16 @@ of one order; the subset expansion and larger trees call _decode, keeping none.
 
 Subset-expansion strategy (documented choice): a depth-first include /
 exclude walk over the edges carrying an incremental union-find with
-rollback and the packed key of the current components.  When an edge's
-endpoints are already connected, the walk returns immediately: pairing
-each remaining subset B with B xor {e} shows the two halves cancel
-exactly, since adding e never changes components but flips the sign.
-In any edge order the leaves are the subsets with no broken circuit
-(Whitney; Stanley 1995, Thm 2.9); breadth-first order puts an edge that
-closes a cycle right after its path, so fewer internal nodes are walked.
+rollback (the lighter root by weight joins the heavier) and the packed
+key of the current components.  A frame includes its edge in a nested
+call, then excludes it by going on to the next edge; the last edge
+writes both its leaves in place.  When an edge's endpoints are already
+connected, the walk returns at once: pairing each remaining subset B
+with B xor {e} cancels, as e joins nothing but flips the sign.  In any
+edge order the leaves are the subsets with no broken circuit (Whitney;
+Stanley 1995, Thm 2.9), so acyclic: a leaf's sign (-1)^|A| is read off
+its key, |A| being n minus its fields' sum.  Breadth-first order puts an
+edge that closes a cycle right after its path, so fewer nodes are walked.
 Loops are the degenerate case (endpoints always connected), which
 yields the zero polynomial for any graph with a loop.
 """
@@ -98,6 +101,16 @@ def _decode(k, b):
 _partition = lru_cache(maxsize=8192)(_decode)
 
 
+class _Shifts(dict):
+    """shift[w] = 1 << w * b, made for each weight w when first asked for."""
+
+    def __init__(self, b):
+        self.b = b
+
+    def __missing__(self, w):
+        return self.setdefault(w, 1 << w * self.b)
+
+
 def _subset_expansion(n, edges, weights):
     """Signed counts {pi(A): sum of (-1)^|A|} over edge subsets A, zero-free.
 
@@ -105,8 +118,8 @@ def _subset_expansion(n, edges, weights):
     weights wu and wv adds (1 << (wu + wv) * b) - (1 << wu * b) - (1 << wv * b).
     """
     m = len(edges)
-    # The walk recurses once per edge.  Its leaves have no broken circuit, so are
-    # acyclic: the acyclic subsets, of at most n - 1 links each, bound their count.
+    # Frames nest once per included edge; the leaves are written at edge m - 1.  A leaf has no
+    # broken circuit, so is acyclic: the acyclic subsets, of at most n - 1 links each, bound them.
     if m > SUBSET_DEPTH_CAP:
         raise CapacityError(f"edge-subset expansion capped at {SUBSET_DEPTH_CAP} edges, got {m}")
     # A leaf costs 1 + (key bits) // 256 units, a key being (W + 1) * b bits for total weight W
@@ -130,40 +143,40 @@ def _subset_expansion(n, edges, weights):
                 pos[u] = len(pos)
                 queue += adj[u]
     edges = sorted(edges, key=lambda e: sorted((pos[e[0]], pos[e[1]]), reverse=True))
-    parent = list(range(n))
-    size = [1] * n
-    rootw = list(weights)
-    acc = {}
+    parent, rootw, last = list(range(n)), list(weights), m - 1
+    # shift[w] = 1 << w * b: a table to W while keys stay under 16 cap units, else per weight met
+    shift = [1 << w * b for w in range(sum(weights) + 1)] if width <= 16 else _Shifts(b)
 
-    def walk(i, sign, key):
-        if i == m:
-            acc[key] = acc.get(key, 0) + sign
-            return
-        ru, rv = edges[i]
-        while parent[ru] != ru:
-            ru = parent[ru]
-        while parent[rv] != rv:
-            rv = parent[rv]
-        if ru == rv:
-            # include/exclude of this edge cancel exactly; nothing survives
-            return
-        walk(i + 1, sign, key)
-        if size[ru] < size[rv]:
-            ru, rv = rv, ru
-        wu, wv = rootw[ru], rootw[rv]
-        parent[rv] = ru
-        size[ru] += size[rv]
-        rootw[ru] = wu + wv
-        walk(i + 1, -sign, key + (1 << (wu + wv) * b) - (1 << wu * b) - (1 << wv * b))
-        parent[rv] = rv
-        size[ru] -= size[rv]
-        rootw[ru] = wu
+    def walk(i, key):
+        while True:  # include edge i below, then go on excluding it
+            ru, rv = edges[i]
+            while parent[ru] != ru:
+                ru = parent[ru]
+            while parent[rv] != rv:
+                rv = parent[rv]
+            if ru == rv:  # include/exclude of this edge cancel exactly; nothing survives
+                return
+            wu, wv = rootw[ru], rootw[rv]
+            joined = key + shift[wu + wv] - shift[wu] - shift[wv]
+            if i == last:
+                acc[joined] = acc.get(joined, 0) + 1
+                acc[key] = acc.get(key, 0) + 1
+                return
+            if wu < wv:  # the lighter root joins the heavier
+                ru, rv = rv, ru
+            parent[rv], rootw[ru] = ru, wu + wv
+            walk(i + 1, joined)
+            parent[rv], rootw[ru] = rv, rootw[ru] - rootw[rv]
+            i += 1
 
-    walk(0, 1, sum(1 << w * b for w in weights))
-    counts = {}
+    key = sum(shift[w] for w in weights)
+    acc = {} if m else {key: 1}  # leaves per key
+    if m:
+        walk(0, key)
+    counts, mask = {}, (1 << b) - 1
     for k, c in acc.items():  # keys that differ only in field 0 share a partition
-        lam = _decode(k, b)
-        counts[lam] = counts.get(lam, 0) + c
+        lam = _decode(k, b)  # a leaf is acyclic: |A| = n - components, field 0 included
+        counts[lam] = counts.get(lam, 0) + (-c if (n - len(lam) - (k & mask)) % 2 else c)
     return {lam: c for lam, c in counts.items() if c}
 
 
@@ -345,7 +358,7 @@ def subtree_derivative(f: Graph, j: int) -> PPolynomial:
 
     Equals the formal partial derivative of X_F with respect to p_j.
     """
-    if not isinstance(j, int) or j < 1:
+    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError("j must be a positive integer")
     total = PPolynomial()  # enumerate_subtrees checks that f is a forest
     for w_set in enumerate_subtrees(f):

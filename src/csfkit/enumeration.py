@@ -112,7 +112,9 @@ def enumerate_unicyclic(n: int):
     exhaustive.  Each class is yielded in its canonical labelling, the
     edge list of its small_graph_certificate.
     """
-    if not isinstance(n, int) or not UNICYCLIC_MIN <= n <= UNICYCLIC_MAX:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError("n must be an integer")
+    if not UNICYCLIC_MIN <= n <= UNICYCLIC_MAX:
         raise CapacityError(
             f"unicyclic enumeration supports {UNICYCLIC_MIN} <= n <= {UNICYCLIC_MAX}")
     seen = set()

@@ -43,7 +43,7 @@ class Graph:
     """Finite multigraph; immutable by convention after construction."""
 
     def __init__(self, n, edges=()):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("vertex count must be a nonnegative integer")
         es = []
         for e in edges:

@@ -117,7 +117,7 @@ class PPolynomial:
 
     def partial_derivative(self, j):
         """Formal partial derivative with respect to the indeterminate p_j."""
-        if not isinstance(j, int) or j < 1:
+        if not isinstance(j, int) or isinstance(j, bool) or j < 1:
             raise ValueError("j must be a positive integer")
         out = {}
         for parts, c in self._terms.items():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -447,6 +448,51 @@ def test_subset_cap_charges_the_key_width():
         csf_weighted(c4, VertexWeighting((10**7, 1, 10**7, 2)))
     w = VertexWeighting((10**6, 1, 10**6, 2))
     assert csf_weighted(c4, w).poly == csf_deletion_contraction(c4, w).poly
+
+
+def test_subset_walk_holds_nothing_sized_by_the_total_weight():
+    # keys here are (W + 1) * b = 40,016 bits wide; a table of 1 << w * b for
+    # every w <= W = 10,003 would take about 25 MB, the walk's own keys a few KB
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    w = VertexWeighting((5000, 1, 5000, 2))
+    tracemalloc.start()
+    try:
+        x = csf_weighted(c4, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+    assert x.poly == csf_deletion_contraction(c4, w).poly
+
+
+def test_subset_walk_matches_the_tree_dp_on_orders_9_to_11():
+    trees = [t for n in range(9, 12) for t in enumerate_trees(n)]
+    assert len(trees) == 47 + 106 + 235
+    for t in trees:
+        assert csf_power_sum(t) == csf_tree(t), t.edges
+
+
+def test_subset_walk_ignores_edge_order_and_labels():
+    """7- and 8-vertex multigraphs with up to 12 links, parallel edges and zero
+    weights: the walk's edge order and union choices depend on the order the
+    edges come in and on the vertex labels, its result must not."""
+    rng = random.Random(25)
+    for _ in range(80):
+        n = rng.randint(7, 8)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]  # a spanning tree
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 11 - len(edges)))]
+        edges.append(rng.choice(edges))  # at least one parallel pair
+        weights = [rng.choice((0, 1, 1, 2, 3)) for _ in range(n)]
+        want = csf_deletion_contraction(Graph(n, edges), VertexWeighting(weights)).poly
+        perm = random_permutation(rng, n)
+        shuffled = rng.sample(edges, len(edges))
+        relabelled = [(perm[u], perm[v]) for u, v in shuffled]
+        moved = [0] * n
+        for v, x in enumerate(weights):
+            moved[perm[v]] = x
+        for es, ws in ((edges, weights), (edges[::-1], weights), (shuffled, weights),
+                       (relabelled, moved)):
+            assert csf_weighted(Graph(n, es), VertexWeighting(ws)).poly == want, (es, ws)
 
 
 def test_graph_route_decides_a_loop_at_once():

@@ -21,9 +21,11 @@ from csfkit import (
     csf_hash,
     csf_power_sum,
     enumerate_trees,
+    enumerate_unicyclic,
     find_collisions,
     parse_graph6,
     selftest,
+    subtree_derivative,
     verify_distinct,
     write_reports,
 )
@@ -180,6 +182,26 @@ def test_orders_and_job_counts_refuse_bools_and_non_ints(bad):
         selftest(bad)
     with pytest.raises(ValueError, match="n must be a positive integer"):
         next(enumerate_trees(bad))
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_sizes_refuse_bools(bad):
+    p3 = Tree(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="vertex count"):
+        Graph(bad, [])
+    with pytest.raises(ValueError, match="vertex count"):
+        Tree(bad, [])
+    with pytest.raises(ValueError, match="j must be a positive integer"):
+        csf_power_sum(p3).poly.partial_derivative(bad)
+    with pytest.raises(ValueError, match="j must be a positive integer"):
+        subtree_derivative(p3, bad)
+    for n in (bad, 5.0):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            next(enumerate_unicyclic(n))
+    # out-of-range ints keep their capacity errors
+    for n in (2, 11):
+        with pytest.raises(CapacityError, match="unicyclic enumeration supports"):
+            next(enumerate_unicyclic(n))
 
 
 def test_find_collisions_known_pair():
