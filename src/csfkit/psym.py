@@ -10,14 +10,16 @@ fractions.Fraction, never floats.  The constructor keeps integer
 coefficients as ints; arithmetic may leave a Fraction of denominator 1,
 which is sound, as Python guarantees hash(n) == hash(Fraction(n)).
 
-Canonical text serialization, used for hashing and reports: one term per
-line, "num/den : part,part,...", with terms ordered by degree ascending
-and then reverse-lexicographically on parts (larger first part wins).
-The zero polynomial serializes to the empty string.  Round-tripping is
-bit-exact.
+Canonical text serialization, the key of verify's and collide's groups and
+compute's csf field: one term per line, "num/den : part,part,...", by degree
+ascending, then parts descending; zero gives "".  Round-trips bit-exactly.
+Line tails (" : 3,2,1") come from a memo bounded like csf's decoder (8,192
+partitions): verify and collide meet the same few hundred in every tree of
+an order; a one-shot compute formats each once, gaining only the cheaper sort.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 
 from .partitions import is_partition, merge_parts, z_of
@@ -163,15 +165,13 @@ class PPolynomial:
         return n is None or degrees == {n}
 
     def sorted_terms(self):
-        """Terms in canonical order: degree ascending, reverse-lex parts."""
-        # reversed lex order is reverse-lex, as no partition prefixes another of its degree
-        return sorted(self._terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]), reverse=True)
+        """Terms in canonical order: degree ascending, then parts descending."""
+        terms = self._terms  # a stable sort by degree keeps the parts' descending order
+        return [(parts, terms[parts]) for parts in sorted(sorted(terms, reverse=True), key=sum)]
 
     def serialize(self) -> str:
-        lines = []
-        for parts, c in self.sorted_terms():
-            lines.append(f"{c.numerator}/{c.denominator} : {','.join(map(str, parts))}".rstrip())
-        return "\n".join(lines)
+        return "\n".join([f"{c.numerator}/{c.denominator}{_tail(parts)}"
+                          for parts, c in self.sorted_terms()])
 
     @classmethod
     def deserialize(cls, text: str) -> "PPolynomial":
@@ -197,13 +197,13 @@ class PPolynomial:
         return cls(terms)
 
     def __repr__(self):
-        if not self._terms:
-            return "PPolynomial(0)"
-        bits = []
-        for parts, c in self.sorted_terms():
-            label = "p()" if not parts else "p" + str(tuple(parts)).replace(" ", "")
-            bits.append(f"{c}*{label}")
-        return "PPolynomial(" + " + ".join(bits) + ")"
+        bits = [f"{c}*p{str(parts).replace(' ', '')}" for parts, c in self.sorted_terms()]
+        return "PPolynomial(" + (" + ".join(bits) or "0") + ")"
+
+
+@lru_cache(maxsize=8192)
+def _tail(parts):  # a line after its coefficient; the unit's () ends at the colon
+    return " : " + ",".join(map(str, parts)) if parts else " :"
 
 
 def _raw(clean_terms) -> PPolynomial:

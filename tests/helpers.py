@@ -231,3 +231,12 @@ def format_graph6_pairwise(g: Graph) -> str:
             val = (val << 1) | b
         chars.append(chr(val + 63))
     return _g6_encode_n(g.n) + "".join(chars)
+
+
+def reference_serialize(poly) -> str:
+    """PPolynomial.serialize as first written, sorting by (-degree, parts)
+    and formatting every line in full: the oracle for the memoized one."""
+    lines = []
+    for parts, c in sorted(poly.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]), reverse=True):
+        lines.append(f"{c.numerator}/{c.denominator} : {','.join(map(str, parts))}".rstrip())
+    return "\n".join(lines)

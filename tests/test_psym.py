@@ -1,15 +1,18 @@
 import copy
+import hashlib
 import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csfkit.csf import csf_tree
+from csfkit.csf import csf_power_sum, csf_tree
+from csfkit.enumeration import enumerate_trees, enumerate_unicyclic
 from csfkit.graphs import Graph
 from csfkit.partitions import partitions, z_of
-from csfkit.psym import ONE, ZERO, PPolynomial, p_of_partition
+from csfkit.psym import ONE, ZERO, PPolynomial, _tail, p_of_partition
+from helpers import reference_serialize
 
 
 def poly(d):
@@ -109,6 +112,35 @@ def test_serialize_ordering():
     assert ONE.serialize() == "1/1 :"
 
 
+def test_repr_follows_the_canonical_order():
+    a = poly({(3,): 2, (2, 1): -1, (1,): 1, (): 3, (2, 2): Fraction(1, 3)})
+    assert repr(a) == "PPolynomial(3*p() + 1*p(1,) + 2*p(3,) + -1*p(2,1) + 1/3*p(2,2))"
+    assert repr(ZERO) == "PPolynomial(0)"
+
+
+def test_serialize_matches_the_reference_on_graph_csfs():
+    trees = [csf_tree(t).poly for n in range(1, 11) for t in enumerate_trees(n)]
+    cycles = [csf_power_sum(g).poly for n in range(3, 8) for g in enumerate_unicyclic(n)]
+    assert len(trees) == 201 and len(cycles) == 1 + 2 + 5 + 13 + 33
+    for p in trees + cycles:
+        assert p.serialize() == reference_serialize(p)
+
+
+def test_serialize_matches_the_reference_past_the_memo_bound():
+    p = PPolynomial({lam: 1 for lam in partitions(32)})
+    assert len(p) == 8349 > _tail.cache_info().maxsize
+    assert p.serialize() == reference_serialize(p)
+    assert p.serialize() == reference_serialize(p)  # again, after evictions
+    assert _tail.cache_info().currsize <= _tail.cache_info().maxsize
+
+
+def test_serialize_pins_the_tree_csfs_through_order_11():
+    text = "\n\n".join(csf_tree(t).poly.serialize()
+                       for n in range(1, 12) for t in enumerate_trees(n))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "bad3e283d6f207c825b9a5c7a60e5155733f29b27fc8827610a2957defd55600"
+
+
 def test_deserialize_round_trip_hand():
     text = "1/1 : 3\n-2/1 : 2,1\n1/1 : 1,1,1"
     assert PPolynomial.deserialize(text).serialize() == text
@@ -160,7 +192,10 @@ def test_leibniz_rule(a, b, j):
 
 @settings(max_examples=120, deadline=None)
 @given(polys)
+@example(ONE)
+@example(ZERO)
 def test_serialize_round_trip(a):
+    assert a.serialize() == reference_serialize(a)
     assert PPolynomial.deserialize(a.serialize()) == a
 
 

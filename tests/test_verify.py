@@ -357,6 +357,16 @@ def test_compute_report_csf():
     assert doc["term_count"] == 3
 
 
+@pytest.mark.parametrize("g, digest", [
+    (Graph(10, [(i, i + 1) for i in range(9)]), "5b90f31815ede92f5b13d712e888d264"),
+    (Graph(10, [(0, i) for i in range(1, 10)]), "4f578049e5ccf12c1177944b11852967"),
+    (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (0, 2)]),
+     "8e7617ee3ce82185d44b723cb00cb093"),
+], ids=["P10", "K1,9", "multigraph"])
+def test_compute_report_pins_csf_hashes(g, digest):
+    assert compute_report(g, "csf")["csf_hash"] == digest
+
+
 def test_compute_report_names_its_csf_route():
     cases = [
         (Graph(4, [(2, 0), (3, 2), (1, 3)]), "tree-dp"),  # a relabelled path
