@@ -39,10 +39,15 @@ def tree_centers(t: Graph):
 
 
 def centre_rooting_kept(levels, split):
-    """The free-tree walk's keep test (enumeration.py); split ends the first child's subtree."""
-    left = [d - 1 for d in levels[1:split]]
-    rest = levels[:1] + levels[split:]
-    return (max(left), len(left), left) <= (max(rest), len(rest), rest)
+    """The free-tree walk's keep test (enumeration.py); split ends the first child's
+    subtree.  Heights, then sizes, decide before left and rest are built."""
+    hl, hr = max(levels[1:split]) - 1, max(levels[split:], default=1)
+    if hl != hr:
+        return hl < hr
+    sl, sr = split - 1, len(levels) - split + 1
+    if sl != sr:
+        return sl < sr
+    return [d - 1 for d in levels[1:split]] <= levels[:1] + levels[split:]
 
 
 def canonical_certificate(t: Tree) -> tuple:

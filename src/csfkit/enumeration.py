@@ -19,8 +19,13 @@ one it jumps: every successor that changes only ``rest`` fails too, so
 it steps once at the last vertex p of ``left``, and if p sat deeper
 than 3 (the new ``left`` then runs to the end) it sets the last h + 1
 entries to 2, 3, ..., h + 2, h the new ``left``'s height: the least
-``rest`` that can balance it.  Each free tree costs one successor step
-and at most one jump.
+``rest`` that can balance it, a path hanging from the root.  Each free
+tree costs one successor step and at most one jump.
+
+The walk rewrites one level sequence and its parent array in place: the
+step at p, with q = parent[p] and d = p - q, sets seq[i] = seq[i - d] for
+i >= p, hanging a copy at q's depth from parent[q] and any other from
+parent[i - d] + d.  enumerate_trees builds each Tree from the parents.
 
 Unicyclic graphs are produced the blunt way the small cap invites:
 add every non-edge to every tree and deduplicate by the small-graph
@@ -42,42 +47,53 @@ FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 774
                     19320, 48629, 123867, 317955, 823065, 2144505, 5623756)
 
 
-def _successor(seq, p):
-    """The Beyer–Hedetniemi step at p (seq[p] > 2): the next canonical
-    level sequence after seq that keeps seq[:p]."""
-    q = p - 1
-    while seq[q] != seq[p] - 1:
-        q -= 1
-    # nxt[i] = nxt[i - (p - q)] for i >= p: the block seq[q:p], repeated
-    reps = (len(seq) - q) // (p - q)
-    return seq[:p] + (seq[q:p] * reps)[:len(seq) - p]
+def _step(seq, parent, p):
+    """The Beyer–Hedetniemi step at p (seq[p] > 2), in place: the next
+    canonical level sequence that keeps seq[:p], with its parents."""
+    q = parent[p]
+    d, top, up = p - q, seq[q], parent[q]
+    for i in range(p, len(seq)):  # the block seq[q:p], repeated
+        s = seq[i] = seq[i - d]
+        parent[i] = up if s == top else parent[i - d] + d
 
 
-def _free_levels(n):
-    """The free trees on n vertices, each as the list of its
-    canonical_certificate, in the order of the rooted walk."""
+def _free_walk(n):
+    """The free trees on n vertices as (levels, parent), one list each,
+    rewritten in place after every yield, in the order of the rooted walk."""
     if n == 1:
-        yield [1]
+        yield [1], [-1]
         return
     seq = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
+    parent = [0 if d == 2 else i - 1 for i, d in enumerate(seq)]  # two paths from the root
     while True:
-        # the first child's subtree ends at the next 2, or at the end
-        split = (seq + [2]).index(2, 2)
+        try:  # the first child's subtree ends at the next 2, or at the end
+            split = seq.index(2, 2)
+        except ValueError:
+            split = n
         if centre_rooting_kept(seq, split):
-            yield seq
+            yield seq, parent
             p = n - 1
             while seq[p] <= 2:
                 p -= 1
                 if p == 0:
                     return
-            seq = _successor(seq, p)
+            _step(seq, parent, p)
         else:
             p = split - 1
             jump = seq[p] > 3
-            seq = _successor(seq, p)
+            _step(seq, parent, p)
             if jump:
                 h = max(seq) - 2
                 seq[n - h - 1:] = range(2, h + 3)
+                parent[n - h - 1:] = range(n - h - 2, n - 1)
+                parent[n - h - 1] = 0
+
+
+def _free_levels(n):
+    """The free trees on n vertices, each as a new list of its
+    canonical_certificate, in the order of the rooted walk."""
+    for levels, _ in _free_walk(n):
+        yield levels[:]
 
 
 def enumerate_trees(n: int):
@@ -87,8 +103,8 @@ def enumerate_trees(n: int):
         raise ValueError("n must be a positive integer")
     if n > TREE_CAP:
         raise CapacityError(f"tree enumeration capped at n = {TREE_CAP}")
-    for levels in _free_levels(n):
-        yield Tree.from_levels(levels)
+    for _, parent in _free_walk(n):
+        yield Tree._from_parents(parent)
 
 
 def classify(t: Tree) -> str:

@@ -7,7 +7,8 @@ subset expansion and deletion/contraction identities address.
 
 Forest and tree checks, components and contraction share one union-find
 (_find, _join) that roots each class at its smallest vertex; a Tree built
-from a level sequence needs none, as its depths prove it a tree.  Tree
+from a level sequence needs none, as its depths prove it a tree, and nor
+does one built from parent pointers that each precede their child.  Tree
 queries (subtree enumeration, trunk, twigs, path counts) live here as
 functions; csf-engine and invariants consume them.  Every rooted walk
 goes through rooted_order, an iterative preorder.
@@ -202,7 +203,7 @@ def contract_edges(g: Graph, w: VertexWeighting, s):
 
 class Tree(Graph):
     """n >= 1 vertices and n-1 edges closing no cycle, so connected and simple;
-    Tree(n, edges) proves it by union-find, Tree.from_levels by depths."""
+    Tree(n, edges) proves it by union-find, from_levels by depths, and _from_parents's caller."""
 
     def __init__(self, n, edges=()):
         super().__init__(n, edges)
@@ -218,22 +219,28 @@ class Tree(Graph):
 
     @classmethod
     def from_levels(cls, levels):
-        """The tree of a level sequence (preorder depths, the root at 1):
-        vertex i hangs from the last vertex one level above it.  Depths
-        that start at 1 and then stay within 2..(previous depth + 1) prove
-        it a tree, so no union-find check runs."""
+        """The tree of a level sequence from outside (preorder depths, the
+        root at 1): vertex i hangs from the last vertex one level above it.
+        Depths that start at 1 and then stay within 2..(previous depth + 1)
+        prove it a tree, so no union-find check runs."""
         n = len(levels)
         if not n or levels[0] != 1:
             raise NotATreeError(f"a level sequence starts at depth 1, got {list(levels)!r}")
-        edges, last = [], [0] * (n + 1)  # last[d]: latest vertex at depth d
+        parent, last = [-1] * n, [0] * (n + 1)  # last[d]: latest vertex at depth d
         for i in range(1, n):
             d = levels[i]
             if not 2 <= d <= levels[i - 1] + 1:
                 raise NotATreeError(f"depth {d} of vertex {i} is not in 2..{levels[i - 1] + 1}")
-            edges.append((last[d - 1], i))
+            parent[i] = last[d - 1]
             last[d] = i
+        return cls._from_parents(parent)
+
+    @classmethod
+    def _from_parents(cls, parent):
+        """The tree with edges (parent[i], i), i >= 1, unchecked: the caller proves
+        each parent[i] < i, which joins every vertex to 0 with no cycle."""
         t = cls.__new__(cls)
-        t.n, t.edges = n, tuple(edges)
+        t.n, t.edges = len(parent), tuple(zip(parent[1:], range(1, len(parent))))
         return t
 
     @classmethod

@@ -20,6 +20,7 @@ an order; a one-shot compute formats each once, gaining only the cheaper sort.
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 
 from .partitions import is_partition, merge_parts, z_of
@@ -166,8 +167,8 @@ class PPolynomial:
 
     def sorted_terms(self):
         """Terms in canonical order: degree ascending, then parts descending."""
-        terms = self._terms  # a stable sort by degree keeps the parts' descending order
-        return [(parts, terms[parts]) for parts in sorted(sorted(terms, reverse=True), key=sum)]
+        items = sorted(self._terms.items(), key=itemgetter(0), reverse=True)
+        return sorted(items, key=lambda kv: sum(kv[0]))  # stable: parts stay descending
 
     def serialize(self) -> str:
         return "\n".join([f"{c.numerator}/{c.denominator}{_tail(parts)}"

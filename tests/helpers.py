@@ -189,14 +189,19 @@ def rooted_level_sequences(n):
         seq = nxt
 
 
-def is_free_canonical(levels):
-    """True iff this rooted tree (n >= 2) is the centre rooting kept for its free tree."""
-    # the first child's subtree ends at the next 2, or at the sentinel
-    split = (levels + [2]).index(2, 2)
+def centre_rooting_kept_by_tuples(levels, split):
+    """canon.centre_rooting_kept as first written, one tuple comparison
+    with no early exit: its oracle."""
     left = [d - 1 for d in levels[1:split]]
     rest = levels[:1] + levels[split:]
     # by height first: the root is a centre iff rest is at least as tall
     return (max(left), len(left), left) <= (max(rest), len(rest), rest)
+
+
+def is_free_canonical(levels):
+    """True iff this rooted tree (n >= 2) is the centre rooting kept for its free tree."""
+    # the first child's subtree ends at the next 2, or at the sentinel
+    return centre_rooting_kept_by_tuples(levels, (levels + [2]).index(2, 2))
 
 
 def free_levels_by_filter(n):

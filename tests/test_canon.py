@@ -13,8 +13,10 @@ from csfkit import (
     enumerate_trees,
     small_graph_certificate,
 )
+from csfkit.canon import centre_rooting_kept
 from csfkit.enumeration import _free_levels
-from helpers import ahu_certificate, prufer_tree, random_permutation, random_tree, relabel
+from helpers import (ahu_certificate, centre_rooting_kept_by_tuples, prufer_tree,
+                     random_permutation, random_tree, relabel, rooted_level_sequences)
 
 
 def test_certificate_relabeling_invariance():
@@ -43,6 +45,19 @@ def test_certificate_is_the_walks_level_sequence():
     for n in range(1, 17):
         for levels in _free_levels(n):
             assert canonical_certificate(Tree.from_levels(levels)) == tuple(levels)
+
+
+def test_keep_test_exits_early_as_the_tuple_comparison_decides():
+    # every rooted tree through order 12 (7,812 of them), split where the
+    # walk splits: at the root's second child, or at the end
+    seen = 0
+    for n in range(2, 13):
+        for levels in rooted_level_sequences(n):
+            split = (levels + [2]).index(2, 2)
+            kept = centre_rooting_kept(levels, split)
+            assert kept == centre_rooting_kept_by_tuples(levels, split), levels
+            seen += 1
+    assert seen == 7812
 
 
 def test_certificate_agrees_with_ahu_oracle():
