@@ -62,7 +62,6 @@ from .graphs import (Graph, Tree, VertexWeighting, as_forest, contract_edges, en
 from .psym import ONE, PPolynomial, _raw, p_of_partition
 
 SUBSET_LEAF_CAP = 1 << 22
-SUBSET_DEPTH_CAP = 500
 TREE_DP_WORK_CAP = 8_000_000
 
 
@@ -120,8 +119,7 @@ def _subset_expansion(n, edges, weights):
     m = len(edges)
     # Frames nest once per included edge; the leaves are written at edge m - 1.  A leaf has no
     # broken circuit, so is acyclic: the acyclic subsets, of at most n - 1 links each, bound them.
-    if m > SUBSET_DEPTH_CAP:
-        raise CapacityError(f"edge-subset expansion capped at {SUBSET_DEPTH_CAP} edges, got {m}")
+    # d nested frames hold d acyclic links, so the charge is at least 2^d: at most 22 frames.
     # A leaf costs 1 + (key bits) // 256 units, a key being (W + 1) * b bits for total weight W
     b = n.bit_length() + 1
     links, leaves, width = sum(u != v for u, v in edges), 0, 1 + (sum(weights) + 1) * b // 256

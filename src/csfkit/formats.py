@@ -59,8 +59,6 @@ def format_edge_list(g: Graph) -> str:
 
 
 def _g6_encode_n(n: int) -> str:
-    if n < 0:
-        raise ValueError("negative vertex count")
     if n <= 62:
         return chr(n + 63)
     if n <= MAX_ORDER:

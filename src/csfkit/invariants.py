@@ -94,25 +94,6 @@ class BivariatePolynomial:
         lines = [f"({i},{j}): {c}" for (i, j), c in sorted(self._terms.items())]
         return "\n".join(lines)
 
-    @classmethod
-    def deserialize(cls, text: str) -> "BivariatePolynomial":
-        terms = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                key_s, _, c_s = line.partition(":")
-                i_s, j_s = key_s.strip().strip("()").split(",")
-                key = (int(i_s), int(j_s))
-                c = int(c_s.strip())
-            except ValueError as exc:
-                raise ValueError(f"malformed bivariate line: {raw!r}") from exc
-            if key in terms:
-                raise ValueError(f"duplicate exponent pair: {key!r}")
-            terms[key] = c
-        return cls(terms)
-
     def __repr__(self):
         return f"BivariatePolynomial({dict(sorted(self._terms.items()))!r})"
 

@@ -59,10 +59,15 @@ def csf_hash(serialization: str) -> str:
                    person=HASH_PERSON).hexdigest()
 
 
-def _pairs(groups, name):
-    """Sorted (a, b, key) over pairs of named members of groups of two or more."""
-    return sorted((a, b, key) for key, members in groups.items() if len(members) > 1
-                  for a, b in combinations(sorted(map(name, members)), 2))
+def _classes(keyed, name):
+    """Groups a stream of (key, member): (members, distinct keys, sorted (a, b, key)
+    over pairs of named members that share a key)."""
+    groups = {}
+    for key, member in keyed:
+        groups.setdefault(key, []).append(member)
+    pairs = sorted((a, b, key) for key, members in groups.items() if len(members) > 1
+                   for a, b in combinations(sorted(map(name, members)), 2))
+    return sum(map(len, groups.values())), len(groups), pairs
 
 
 def _tree_job(t):
@@ -98,18 +103,14 @@ def verify_distinct(max_n: int, jobs: int = 1):
     reports = []
     for n in range(1, max_n + 1):
         t0 = time.perf_counter()
-        groups = {}
-        count = 0
-        for ser, edges in _stream_results(n, jobs):
-            count += 1
-            groups.setdefault(ser, []).append(edges)
-        pairs = _pairs(groups, lambda edges: format_graph6(Graph(n, edges)))
+        count, distinct, pairs = _classes(_stream_results(n, jobs),
+                                          lambda edges: format_graph6(Graph(n, edges)))
         elapsed = int((time.perf_counter() - t0) * 1000)
         reports.append(VerificationReport(
             order=n,
             graph_class="trees",
             tree_count=count,
-            distinct_csf_count=len(groups),
+            distinct_csf_count=distinct,
             collisions=[(a, b) for a, b, _ in pairs],
             elapsed_ms=elapsed,
             config={"max_n": max_n, "jobs": jobs},
@@ -125,10 +126,8 @@ def find_collisions(graph_class: str, n: int):
     """
     if graph_class != "unicyclic":
         raise ValueError(f"unsupported class: {graph_class!r}")
-    groups = {}
-    for g in enumerate_unicyclic(n):
-        groups.setdefault(csf_power_sum(g).poly.serialize(), []).append(g)
-    return _pairs(groups, format_graph6)
+    keyed = ((csf_power_sum(g).poly.serialize(), g) for g in enumerate_unicyclic(n))
+    return _classes(keyed, format_graph6)[2]
 
 
 def _counterexample(g: Graph) -> str:
@@ -160,15 +159,6 @@ def _weighted_instances():
     yield Graph(4, [(0, 1), (0, 1), (2, 3)]), VertexWeighting((1, 1, 4, 0))
 
 
-def _forest_instances(max_n):
-    for n in range(1, min(max_n, 6) + 1):
-        for t in enumerate_trees(n):
-            yield t
-    if max_n >= 5:
-        # one genuinely disconnected forest: P_3 + K_2
-        yield Graph(5, [(0, 1), (1, 2), (3, 4)])
-
-
 def selftest(max_n: int = 7):
     """Run the named identity checks; returns (ok, [(name, ok, counterexample)]).
 
@@ -180,6 +170,8 @@ def selftest(max_n: int = 7):
         raise CapacityError(f"selftest capped at max_n = {SELFTEST_CAP}")
     trees = [t for n in range(1, max_n + 1) for t in enumerate_trees(n)]
     small_trees = [t for t in trees if t.n <= 6]
+    # the small trees and one genuinely disconnected forest: P_3 + K_2
+    forests = small_trees + ([Graph(5, [(0, 1), (1, 2), (3, 4)])] if max_n >= 5 else [])
     results = []
 
     def run(name, ok_counter):
@@ -202,19 +194,17 @@ def selftest(max_n: int = 7):
         x = csf_forest(f).poly
         return all(x.partial_derivative(j) == subtree_derivative(f, j)
                    for j in range(1, f.n + 1))
-    run("derivative-identity", _first_failure(_forest_instances(max_n), derivative_ok))
+    run("derivative-identity", _first_failure(forests, derivative_ok))
 
     def level_ok(f):
         x = csf_forest(f)
         j = len(f.components())
         return all(level_sum(x, k) == forest_level_value(f.n, j, k)
                    for k in range(0, f.n + 1))
-    run("level-sums", _first_failure(_forest_instances(max_n), level_ok))
+    run("level-sums", _first_failure(forests, level_ok))
 
     def incl_excl_ok(pair):
         g, w = pair
-        if not g.edges:
-            return True
         s = set(range(0, len(g.edges), 2))
         s.add(0)
         return inclusion_exclusion_rhs(g, w, s) == csf_weighted(g, w).poly

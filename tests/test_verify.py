@@ -219,6 +219,14 @@ def test_find_collisions_known_pair():
     assert find_collisions("unicyclic", 6) == pairs
 
 
+def test_find_collisions_pins_order_eight():
+    pairs = find_collisions("unicyclic", 8)
+    assert [(a, b) for a, b, _ in pairs] == [("GCSwGO", "GC[OPO"), ("GOOgw_", "GQG?wK")]
+    for a, b, ser in pairs:
+        assert csf_power_sum(parse_graph6(a)).poly.serialize() == ser
+        assert csf_power_sum(parse_graph6(b)).poly.serialize() == ser
+
+
 def test_find_collisions_none_below_six():
     for n in (3, 4, 5):
         assert find_collisions("unicyclic", n) == []
@@ -568,6 +576,30 @@ def test_cli_collide_exit_codes(capsys):
     assert "1 colliding pair(s)" in out
     assert main(["collide", "--class", "unicyclic", "--n", "4"]) == 0
     assert "0 colliding pair(s)" in capsys.readouterr().out
+
+
+def test_cli_verify_exits_1_on_a_collision(monkeypatch, capsys):
+    # one CSF per order: orders 4 and 5 have colliding trees
+    monkeypatch.setattr(verify_module, "csf_tree",
+                        lambda t: CsfResult(PPolynomial({(t.n,): 1}), t.n))
+    assert main(["verify", "--max-n", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "n=4 trees=2 distinct=1 collisions=1" in out
+    assert "n=5 trees=3 distinct=1 collisions=3" in out
+
+
+def test_cli_selftest_exits_1_on_a_failed_check(monkeypatch, capsys):
+    # the transform fault of test_selftest_detects_injected_fault, through the CLI
+    real_sums = invariants._length_sums
+
+    def broken_sums(poly, n):
+        rows = real_sums(poly, n)
+        rows[1][min(rows[1])] *= -1
+        return rows
+
+    monkeypatch.setattr(invariants, "_length_sums", broken_sums)
+    assert main(["selftest", "--max-n", "4"]) == 1
+    assert "FAIL sigma-vs-direct counterexample=" in capsys.readouterr().out
 
 
 def test_cli_selftest(capsys):
