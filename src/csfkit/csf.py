@@ -36,18 +36,19 @@ of one order; the subset expansion and larger trees call _decode, keeping none.
 
 Subset-expansion strategy (documented choice): a depth-first include /
 exclude walk over the edges carrying an incremental union-find with
-rollback (the lighter root by weight joins the heavier) and the packed
-key of the current components.  A frame includes its edge in a nested
-call, then excludes it by going on to the next edge; the last edge
-writes both its leaves in place.  When an edge's endpoints are already
-connected, the walk returns at once: pairing each remaining subset B
-with B xor {e} cancels, as e joins nothing but flips the sign.  In any
-edge order the leaves are the subsets with no broken circuit (Whitney;
-Stanley 1995, Thm 2.9), so acyclic: a leaf's sign (-1)^|A| is read off
-its key, |A| being n minus its fields' sum.  Breadth-first order puts an
-edge that closes a cycle right after its path, so fewer nodes are walked.
-Loops are the degenerate case (endpoints always connected), which
-yields the zero polynomial for any graph with a loop.
+rollback and the packed key of the current components.  Each root holds
+its component's field bit 1 << w * b: a union's bit is one shift of one
+root's bit by the other's field offset, and the root with the smaller
+bit joins the other.  A frame includes its edge in a nested call, then
+excludes it by going on to the next edge; the last edge writes both its
+leaves in place.  When an edge's endpoints are already connected, the
+walk returns at once: pairing each remaining subset B with B xor {e}
+cancels, as e joins nothing but flips the sign.  In any edge order the
+leaves are the subsets with no broken circuit (Whitney; Stanley 1995,
+Thm 2.9), so acyclic: a leaf's sign (-1)^|A| is read off its key, |A|
+being n minus its fields' sum.  Breadth-first order puts an edge that
+closes a cycle right after its path, so fewer nodes are walked.  A loop's
+endpoints are always connected, so a graph with a loop yields zero.
 """
 
 from functools import lru_cache
@@ -100,21 +101,11 @@ def _decode(k, b):
 _partition = lru_cache(maxsize=8192)(_decode)
 
 
-class _Shifts(dict):
-    """shift[w] = 1 << w * b, made for each weight w when first asked for."""
-
-    def __init__(self, b):
-        self.b = b
-
-    def __missing__(self, w):
-        return self.setdefault(w, 1 << w * self.b)
-
-
 def _subset_expansion(n, edges, weights):
     """Signed counts {pi(A): sum of (-1)^|A|} over edge subsets A, zero-free.
 
-    The walk carries pi(A) as a packed key; a union of components of
-    weights wu and wv adds (1 << (wu + wv) * b) - (1 << wu * b) - (1 << wv * b).
+    The walk carries pi(A) as a packed key and each root the bit 1 << w * b of its weight w;
+    a union of roots with bits su and sv adds s - su - sv, s = su << wv * b = 1 << (wu + wv) * b.
     """
     m = len(edges)
     # Frames nest once per included edge; the leaves are written at edge m - 1.  A leaf has no
@@ -141,9 +132,7 @@ def _subset_expansion(n, edges, weights):
                 pos[u] = len(pos)
                 queue += adj[u]
     edges = sorted(edges, key=lambda e: sorted((pos[e[0]], pos[e[1]]), reverse=True))
-    parent, rootw, last = list(range(n)), list(weights), m - 1
-    # shift[w] = 1 << w * b: a table to W while keys stay under 16 cap units, else per weight met
-    shift = [1 << w * b for w in range(sum(weights) + 1)] if width <= 16 else _Shifts(b)
+    parent, bit, last = list(range(n)), [1 << w * b for w in weights], m - 1
 
     def walk(i, key):
         while True:  # include edge i below, then go on excluding it
@@ -154,20 +143,21 @@ def _subset_expansion(n, edges, weights):
                 rv = parent[rv]
             if ru == rv:  # include/exclude of this edge cancel exactly; nothing survives
                 return
-            wu, wv = rootw[ru], rootw[rv]
-            joined = key + shift[wu + wv] - shift[wu] - shift[wv]
+            su, sv = bit[ru], bit[rv]
+            s = su << sv.bit_length() - 1  # the union's bit 1 << (wu + wv) * b
+            joined = key + s - su - sv
             if i == last:
                 acc[joined] = acc.get(joined, 0) + 1
                 acc[key] = acc.get(key, 0) + 1
                 return
-            if wu < wv:  # the lighter root joins the heavier
-                ru, rv = rv, ru
-            parent[rv], rootw[ru] = ru, wu + wv
+            if su < sv:  # the root with the smaller bit (lighter) joins the other
+                ru, rv, su = rv, ru, sv
+            parent[rv], bit[ru] = ru, s
             walk(i + 1, joined)
-            parent[rv], rootw[ru] = rv, rootw[ru] - rootw[rv]
+            parent[rv], bit[ru] = rv, su  # su: the kept root's bit before the union
             i += 1
 
-    key = sum(shift[w] for w in weights)
+    key = sum(bit)
     acc = {} if m else {key: 1}  # leaves per key
     if m:
         walk(0, key)

@@ -40,6 +40,15 @@ def _join(parent, u, v):
     return True
 
 
+def _index_set(s, bound, what):
+    """s as a set; ValueError unless each member is an int (not a bool) in 0..bound-1."""
+    s = set(s)
+    for i in s:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < bound:
+            raise ValueError(f"{what} {i!r} is not an int in 0..{bound - 1}")
+    return s
+
+
 class Graph:
     """Finite multigraph; immutable by convention after construction."""
 
@@ -107,7 +116,8 @@ class Graph:
         Returns a list of frozensets ordered by smallest member (the root).
         """
         parent = list(range(self.n))
-        edges = self.edges if edge_subset is None else [self.edges[i] for i in edge_subset]
+        edges = (self.edges if edge_subset is None
+                 else [self.edges[i] for i in _index_set(edge_subset, self.m, "edge")])
         for u, v in edges:
             _join(parent, u, v)
         groups = {}
@@ -125,7 +135,7 @@ class Graph:
 
     def delete_edges(self, s):
         """Same vertices, edges with indices in s removed (order kept)."""
-        s = set(s)
+        s = _index_set(s, self.m, "edge")
         return Graph(self.n, [e for i, e in enumerate(self.edges) if i not in s])
 
     def delete_vertices(self, w_set):
@@ -133,7 +143,7 @@ class Graph:
 
         Survivors are relabeled 0..n'-1 preserving their original order.
         """
-        w_set = set(w_set)
+        w_set = _index_set(w_set, self.n, "vertex")
         keep = [v for v in range(self.n) if v not in w_set]
         relabel = {v: i for i, v in enumerate(keep)}
         edges = [(relabel[u], relabel[v]) for u, v in self.edges
@@ -142,7 +152,7 @@ class Graph:
 
     def induced_subgraph(self, w_set):
         """Subgraph induced on w_set, vertices relabeled in sorted order."""
-        return self.delete_vertices(set(range(self.n)) - set(w_set))
+        return self.delete_vertices(set(range(self.n)) - _index_set(w_set, self.n, "vertex"))
 
     def degree_sequence(self):
         """(d_1, d_2, ...) where d_i counts vertices of degree i.
@@ -189,7 +199,7 @@ def contract_edges(g: Graph, w: VertexWeighting, s):
     does not depend on any ordering of s.  The merged classes are the
     components of (V, s), relabeled in order of their smallest vertex.
     """
-    s = set(s)
+    s = set(s)  # g.components(s) checks each index
     if not s:
         raise ValueError("contraction set must be nonempty")
     if len(w) != g.n:
@@ -211,11 +221,11 @@ class Tree(Graph):
             raise NotATreeError("a tree has at least one vertex")
         if len(self.edges) != n - 1:
             raise NotATreeError(f"tree on {n} vertices needs {n - 1} edges, got {len(self.edges)}")
-        if not self.is_forest():
-            parent = list(range(n))  # find the edge that closes the cycle
-            i = next(i for i, (u, v) in enumerate(self.edges) if not _join(parent, u, v))
-            raise NotATreeError(f"edge {i} {self.edges[i]} closes a cycle, so the "
-                                f"{n - 1} edges cannot join all {n} vertices")
+        parent = list(range(n))  # one union-find pass: an edge that joins nothing closes a cycle
+        for i, (u, v) in enumerate(self.edges):
+            if not _join(parent, u, v):
+                raise NotATreeError(f"edge {i} {self.edges[i]} closes a cycle, so the "
+                                    f"{n - 1} edges cannot join all {n} vertices")
 
     @classmethod
     def from_levels(cls, levels):

@@ -235,6 +235,8 @@ def sigma(lam, i: int, j: int, n: int) -> int:
 
 def _degree_n_poly(x, n):
     # x's PPolynomial, refused unless nonzero and of degree n (CsfResult() checks its order)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError("n must be an integer")
     is_csf = isinstance(x, CsfResult)
     poly = x.poly if is_csf else x
     if not poly or not ((is_csf and x.source_order == n) or poly.is_homogeneous(n)):

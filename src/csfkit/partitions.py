@@ -35,8 +35,8 @@ def partitions(n):
     Descending lexicographic order: (n) first, (1,...,1) last.  n = 0
     yields the empty partition once.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError("n must be a nonnegative integer")
     if n == 0:
         yield ()
         return
@@ -53,12 +53,9 @@ def partitions(n):
         # Decrement it and redistribute the tail as large equal parts.
         current[k] -= 1
         cap = current[k]
-        rest = len(current) - k - 1 + 1  # the ones we absorbed, plus 1
+        q, r = divmod(len(current) - k, cap)  # the ones absorbed, plus 1, in parts <= cap
         del current[k + 1:]
-        while rest > 0:
-            take = min(cap, rest)
-            current.append(take)
-            rest -= take
+        current += [cap] * q + ([r] if r else [])
 
 
 def z_of(parts) -> int:

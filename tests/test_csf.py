@@ -216,6 +216,28 @@ def test_packed_subset_walk_matches_deletion_contraction():
     assert csf_weighted(*cases[6]).poly == poly({(1000, 999): 1, (1999,): -1})
 
 
+def test_wide_keys_beside_zero_weights_match_deletion_contraction():
+    # weights from {0, 1, 2, 2000} on 2..6 vertices: a 2000 puts keys past 4,096 bits
+    # (16 cap units) while zero-weight roots join in field 0; parallel edges, and a loop in one
+    # graph of four, which must give zero
+    rng = random.Random(29)
+    wide = nonzero = 0
+    for k in range(400):
+        n = rng.randint(2, 6)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 7))]
+        edges += rng.sample(edges, min(len(edges), rng.randint(0, 2)))  # parallel edges
+        if k % 4 == 0:
+            edges.append((rng.randrange(n),) * 2)
+        g, w = Graph(n, edges), VertexWeighting([rng.choice((0, 1, 2, 2000)) for _ in range(n)])
+        x = csf_weighted(g, w).poly
+        assert x == csf_deletion_contraction(g, w).poly
+        assert not (k % 4 == 0 and x)
+        if x and 0 in w and (w.total() + 1) * (n.bit_length() + 1) > 4096:
+            wide += 1
+        nonzero += bool(x)
+    assert wide >= 30 and nonzero >= 150, (wide, nonzero)
+
+
 def acyclic_orientations(g):
     """Brute force over the 2^m orientations; a loop is a directed cycle."""
     count = 0
@@ -394,6 +416,14 @@ def test_inclusion_exclusion_identity():
 def test_inclusion_exclusion_rejects_empty_s():
     with pytest.raises(ValueError):
         inclusion_exclusion_rhs(P3, VertexWeighting.unit(3), set())
+
+
+def test_identities_refuse_edge_indices_out_of_range():
+    # as list indices, -1 and 2 would contract P3's edge 1 or fail late; both are refused first
+    with pytest.raises(ValueError, match="edge -1 is not an int"):
+        inclusion_exclusion_rhs(P3, VertexWeighting.unit(3), {-1})
+    with pytest.raises(ValueError, match="edge 2 is not an int"):
+        corollary_difference(P3, {2}, P3, {0})
 
 
 def test_corollary_difference_acyclic():

@@ -363,6 +363,27 @@ def test_path_sequence_counts_the_distance_pairs():
         assert path_sequence(f) == tuple(counts[i] for i in range(1, max(counts, default=0) + 1))
 
 
+@pytest.mark.parametrize("call, s, named", [
+    ("contract_edges", {-1}, "edge -1"),  # as a list index, -1 would contract edge 1 and keep it
+    ("contract_edges", {True}, "edge True"),
+    ("delete_edges", {-1}, "edge -1"),  # matches no index, so would delete nothing
+    ("delete_edges", {99}, "edge 99"),
+    ("delete_edges", {0.0}, "edge 0.0"),
+    ("components", {5}, "edge 5"),  # not an IndexError
+    ("components", {"0"}, "edge '0'"),
+    ("delete_vertices", {7}, "vertex 7"),  # not ignored
+    ("delete_vertices", {False}, "vertex False"),
+    ("induced_subgraph", {0, 1, 7}, "vertex 7"),  # not dropped
+])
+def test_index_sets_are_checked(call, s, named):
+    # P3 has edges 0..1 and vertices 0..2; each index must be an int, not a bool, in range
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    run = getattr(p3, call, None) or (lambda s: contract_edges(p3, VertexWeighting.unit(3), s))
+    top = 2 if named.startswith("vertex") else 1
+    with pytest.raises(ValueError, match=re.escape(f"{named} is not an int in 0..{top}")):
+        run(s)
+
+
 def test_contract_single_edge():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     w = VertexWeighting((1, 2, 4))

@@ -471,3 +471,12 @@ def test_omega_pieces_are_shared_for_the_latest_order():
     assert [key for key, _ in six] == sorted(key for key, _ in six)
     invariants._omega_pieces(7)
     assert invariants._omega_pieces(6) is not six and invariants._omega_pieces(6) == six
+
+
+def test_transforms_refuse_a_bool_degree():
+    # True == 1 would pass for the order of K1's CSF, and omega_check would build the key (True,)
+    k1 = csf_tree(Tree(1))
+    for route in (f_polynomial_from_csf, omega_check):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            route(k1, True)
+        assert route(k1, 1) == BivariatePolynomial({(1, 0): 1})

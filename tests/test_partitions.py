@@ -1,3 +1,5 @@
+import pytest
+
 from csfkit.partitions import (
     is_partition,
     merge_parts,
@@ -68,3 +70,10 @@ def test_z_sum_identity():
     for n in range(1, 9):
         total = sum(math.factorial(n) // z_of(lam) for lam in partitions(n))
         assert total == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.5, "3", None])
+def test_partitions_refuses_bools_and_non_ints(n):
+    # 2.5 would yield (2.5,) and then refill a list without end, so only next() is asked
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        next(partitions(n))

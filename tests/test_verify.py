@@ -393,26 +393,29 @@ def test_compute_report_names_its_csf_route():
 
 
 def test_compute_checks_its_tree_once(monkeypatch):
-    # one tree check is one is_forest pass; building a Tree finds no components
+    # one tree check is one union-find pass, made by Tree() or by is_forest on a
+    # plain graph; building a Tree joins each edge once and finds no components
     calls = Counter()
 
-    def spy(name):
-        real = getattr(Graph, name)
+    def spy(owner, name):
+        real = getattr(owner, name)
 
-        def counted(self, *args):
+        def counted(*args):
             calls[name] += 1
-            return real(self, *args)
-        monkeypatch.setattr(Graph, name, counted)
+            return real(*args)
+        monkeypatch.setattr(owner, name, counted)
 
     for name in ("is_forest", "is_simple", "is_connected", "components"):
-        spy(name)
+        spy(Graph, name)
+    spy(Tree, "__init__")
+    spy(csfkit.graphs, "_join")
     edges = [(0, 1), (1, 2), (2, 3), (2, 4)]
     Tree(5, edges)
-    assert calls == {"is_forest": 1}
+    assert calls == {"__init__": 1, "_join": 4}
     for what in ("csf", "invariants", "transform"):
         calls.clear()
         compute_report(Graph(5, edges), what)
-        assert calls["is_forest"] == 1, what
+        assert calls["is_forest"] + calls["__init__"] == 1, what
 
 
 def _shuffled(rng, g):
