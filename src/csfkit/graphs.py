@@ -58,8 +58,8 @@ class Graph:
         es = []
         for e in edges:
             u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {e!r} out of range for n={n}")
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge {e!r} is not a pair of ints in 0..{n - 1}")
             es.append((u, v))
         self.n = n
         self.edges = tuple(es)
@@ -233,6 +233,8 @@ class Tree(Graph):
         root at 1): vertex i hangs from the last vertex one level above it.
         Depths that start at 1 and then stay within 2..(previous depth + 1)
         prove it a tree, so no union-find check runs."""
+        if any(type(d) is not int for d in levels):
+            raise ValueError(f"depths must be ints, got {list(levels)!r}")
         n = len(levels)
         if not n or levels[0] != 1:
             raise NotATreeError(f"a level sequence starts at depth 1, got {list(levels)!r}")

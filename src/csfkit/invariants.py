@@ -223,6 +223,8 @@ def f_polynomial_dp(t: Tree) -> BivariatePolynomial:
 
 def sigma(lam, i: int, j: int, n: int) -> int:
     """The transform coefficient sigma(lambda, i, j) for lambda of n."""
+    if any(type(a) is not int for a in (i, j, n)):
+        raise ValueError("i, j and n must be ints")
     lam = tuple(lam)
     if sum(lam) != n:
         raise ValueError(f"{lam!r} is not a partition of {n}")

@@ -10,12 +10,12 @@ fractions.Fraction, never floats.  The constructor keeps integer
 coefficients as ints; arithmetic may leave a Fraction of denominator 1,
 which is sound, as Python guarantees hash(n) == hash(Fraction(n)).
 
-Canonical text serialization, the key of verify's and collide's groups and
+Canonical text serialization, the key of collide's groups (not verify's) and
 compute's csf field: one term per line, "num/den : part,part,...", by degree
 ascending, then parts descending; zero gives "".  Round-trips bit-exactly.
 Line tails (" : 3,2,1") come from a memo bounded like csf's decoder (8,192
-partitions): verify and collide meet the same few hundred in every tree of
-an order; a one-shot compute formats each once, gaining only the cheaper sort.
+partitions): collide meets the same few hundred in every graph of an order;
+a one-shot compute formats each once, gaining only the cheaper sort.
 """
 
 from fractions import Fraction

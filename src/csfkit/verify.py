@@ -1,18 +1,20 @@
 """Distinctness verification, collision search, and the identity selftest.
 
 verify_distinct streams every free tree of each order, computes X_T by
-the fast tree DP, and groups trees in one dict keyed by the canonical CSF
-serialization.  The serialization is canonical, so equal keys mean equal
-polynomials.  Trees that share a key are named by their graph6 as
-enumerated, which is their canonical labelling.
+the fast tree DP, and groups trees in one dict keyed by X_T's coefficient
+vector, not its text: equal keys mean equal polynomials.  Trees that share
+a key are named by their graph6 as enumerated, their canonical labelling.
 
 find_collisions does the unicyclic analogue, where genuine collisions
-exist.  selftest bundles the cross-route identities into named checks,
-each reporting a minimal counterexample on failure.
+exist, keyed by the CSF serialization its output names.  selftest bundles
+the cross-route identities into named checks, each reporting a minimal
+counterexample on failure.
 """
 
 import os
 import time
+from array import array
+from functools import lru_cache
 from itertools import combinations
 
 from . import invariants
@@ -46,6 +48,7 @@ from .invariants import (
     subtree_polynomial,
     subtree_polynomial_dp,
 )
+from .partitions import partitions
 
 VERIFY_CAP = 20
 SELFTEST_CAP = 12
@@ -70,8 +73,28 @@ def _classes(keyed, name):
     return sum(map(len, groups.values())), len(groups), pairs
 
 
+@lru_cache(maxsize=None)
+def _slots(n):  # partitions(n) has one order in every process, so workers' keys agree
+    return {lam: i for i, lam in enumerate(partitions(n))}
+
+
+def _csf_key(x):
+    """X_T as bytes: its coefficients, one C int (32 bits) per partition of its order.
+
+    CsfResult checked X_T homogeneous, so every term has a slot: equal bytes, equal X_T.
+    A tree's sum of |c_lambda| is 2^(n-1), one per edge subset (each partition's signs
+    agree), at most 2^21 at TREE_CAP = 22; a coefficient past 32 bits would raise
+    OverflowError rather than let two keys collide.
+    """
+    slots = _slots(x.source_order)
+    vec = [0] * len(slots)
+    for lam, c in x.poly.terms.items():
+        vec[slots[lam]] = c
+    return array("i", vec).tobytes()
+
+
 def _tree_job(t):
-    return csf_tree(t).poly.serialize(), t.edges
+    return _csf_key(csf_tree(t)), t.edges
 
 
 def _stream_results(n, jobs):

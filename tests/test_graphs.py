@@ -66,6 +66,13 @@ def test_graph_basics():
         Graph(-1)
 
 
+@pytest.mark.parametrize("edge", [(0, 1.0), (1.0, 0), (True, 0), (0, False), ("0", 1)])
+def test_endpoints_refuse_bools_and_non_ints(edge):
+    for cls in (Graph, Tree):
+        with pytest.raises(ValueError, match="is not a pair of ints in 0..1"):
+            cls(2, [edge])
+
+
 def test_equality_ignores_edge_order_and_direction():
     a = Graph(3, [(0, 1), (1, 2)])
     b = Graph(3, [(2, 1), (0, 1)])
@@ -142,6 +149,12 @@ def test_tree_validation():
     with pytest.raises(NotATreeError):
         Tree.from_graph(Graph(2, [(0, 1), (0, 1)]))
     assert Tree.from_graph(Graph(2, [(0, 1)])).leaves() == [0, 1]
+
+
+@pytest.mark.parametrize("levels", [[True, 2], [1, True], [1, 2.0], [1.0], [1, "2"]])
+def test_from_levels_refuses_depths_that_are_not_ints(levels):
+    with pytest.raises(ValueError, match="depths must be ints"):
+        Tree.from_levels(levels)
 
 
 @pytest.mark.parametrize("levels", [[], [2], [1, 1], [1, 3], [1, 2, 4]])

@@ -188,6 +188,9 @@ def test_sigma_hand_values():
     assert sigma((3,), 3, 0, 3) == 1
     with pytest.raises(ValueError):
         sigma((2, 1), 1, 1, 4)
+    for args in ((True, 1, 3), (1, True, 3), (1, 1, 3.0), (1.0, 1, 3), (1, 1, True)):
+        with pytest.raises(ValueError, match="must be ints"):
+            sigma((2, 1), *args)
 
 
 def test_transform_matches_direct():

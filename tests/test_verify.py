@@ -20,6 +20,7 @@ from csfkit import (
     compute_report,
     csf_hash,
     csf_power_sum,
+    csf_tree,
     enumerate_trees,
     enumerate_unicyclic,
     find_collisions,
@@ -309,6 +310,60 @@ def test_verify_distinct_reports_colliding_trees(monkeypatch):
         assert [r.collisions for r in reports[:3]] == [[], [], []]
         assert reports[3].collisions == [("Ck", "Cs")]
         assert reports[4].collisions == [("DkC", "Dk_"), ("DkC", "Ds_"), ("Dk_", "Ds_")]
+
+
+def _classes_by(key, trees):
+    # the partition of the trees' indices into classes of equal key
+    groups = {}
+    for i, t in enumerate(trees):
+        groups.setdefault(key(t), []).append(i)
+    return sorted(groups.values())
+
+
+def test_csf_key_splits_trees_as_the_text_does():
+    # the serialization is the oracle; through order 12 each tree is a class of its own
+    for n in range(1, 13):
+        trees = list(enumerate_trees(n))
+        by_key = _classes_by(lambda t: verify_module._csf_key(csf_tree(t)), trees)
+        assert by_key == _classes_by(lambda t: csf_tree(t).poly.serialize(), trees)
+        assert len(by_key) == len(trees)
+
+
+def test_csf_key_tells_one_coefficient_and_its_sign():
+    def key(terms):
+        return verify_module._csf_key(CsfResult(PPolynomial(terms), 4))
+
+    base = {(4,): -6, (3, 1): 4, (2, 2): 1, (2, 1, 1): -4, (1, 1, 1, 1): 1}
+    keys = {key(base), key({**base, (2, 2): 2}), key({**base, (2, 2): -1}),
+            key({**base, (4,): 6}), key({**base, (3, 1): 0})}
+    assert len(keys) == 5
+    assert key(dict(reversed(base.items()))) == key(base)  # term order does not matter
+
+
+def test_csf_key_refuses_a_coefficient_past_32_bits():
+    for c in (2 ** 31, -2 ** 31 - 1):
+        with pytest.raises(OverflowError):
+            verify_module._csf_key(CsfResult(PPolynomial({(2,): c, (1, 1): 1}), 2))
+    assert verify_module._csf_key(CsfResult(PPolynomial({(2,): 2 ** 31 - 1}), 2))
+
+
+def test_verify_keys_without_text_and_runs_the_dp_once_per_tree(monkeypatch):
+    calls = Counter()
+    real_tree, real_serialize = verify_module.csf_tree, PPolynomial.serialize
+
+    def counting_tree(t):
+        calls["csf_tree"] += 1
+        return real_tree(t)
+
+    def counting_serialize(self):
+        calls["serialize"] += 1
+        return real_serialize(self)
+
+    monkeypatch.setattr(verify_module, "csf_tree", counting_tree)
+    monkeypatch.setattr(PPolynomial, "serialize", counting_serialize)
+    reports = verify_distinct(8)
+    assert sum(r.tree_count for r in reports) == 48
+    assert calls == {"csf_tree": 48}
 
 
 def _failures(results):
